@@ -16,8 +16,9 @@ spawns strictly shorter words otherwise, so rewriting terminates.  Term
 maps are merged after every step and zero coefficients are purged, so
 equality of elements is equality of dictionaries.
 
+Every such merge, here and in the other layers, goes through add_term.
 Elements are immutable values once built; all operations are pure
-functions, safe to evaluate concurrently.
+functions.
 """
 
 from __future__ import annotations
@@ -115,6 +116,20 @@ def _word_to_mono(word):
     return tuple(mono)
 
 
+def add_term(terms: dict, key, coeff) -> None:
+    """terms[key] += coeff in place, dropping the key when the sum is zero.
+
+    One kernel for every term map of the package: HbarPoly, Fraction and
+    the element types are all falsy exactly at zero.
+    """
+    acc = terms.get(key)
+    s = coeff if acc is None else acc + coeff
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
 def _mono_to_word(mono):
     out = []
     for g, e in mono:
@@ -126,7 +141,8 @@ def normal_order_word(order: GeneratorOrder, word) -> dict:
     """Rewrite an arbitrary generator word into PBW form.
 
     Returns a map {monomial: HbarPoly}.  The worklist keys pending words so
-    coefficients of identical intermediates merge as early as possible.
+    coefficients of identical intermediates merge as early as possible, and
+    a word whose coefficient cancels leaves the worklist at once.
     """
     ranks = order.ranks
     N = order.N
@@ -141,19 +157,13 @@ def normal_order_word(order: GeneratorOrder, word) -> dict:
                 pos = p
                 break
         if pos < 0:
-            mono = _word_to_mono(w)
-            acc = done.get(mono)
-            done[mono] = c if acc is None else acc + c
+            add_term(done, _word_to_mono(w), c)
             continue
-        swapped = w[:pos] + (w[pos + 1], w[pos]) + w[pos + 2 :]
-        acc = pending.get(swapped)
-        pending[swapped] = c if acc is None else acc + c
+        add_term(pending, w[:pos] + (w[pos + 1], w[pos]) + w[pos + 2 :], c)
         for g, sign in _gen_bracket(N, w[pos], w[pos + 1]):
-            shorter = w[:pos] + (g,) + w[pos + 2 :]
             extra = c.shift(1) if sign == 1 else c.shift(1).scale(-1)
-            acc = pending.get(shorter)
-            pending[shorter] = extra if acc is None else acc + extra
-    return {m: c for m, c in done.items() if not c.is_zero()}
+            add_term(pending, w[:pos] + (g,) + w[pos + 2 :], extra)
+    return done
 
 
 def _mono_product(order: GeneratorOrder, ma, mb) -> dict:
@@ -167,7 +177,48 @@ def _mono_product(order: GeneratorOrder, ma, mb) -> dict:
     return hit
 
 
-class AlgebraElement:
+class TermMap:
+    """The linear structure shared by the element types: a finite map
+    terms = {key: nonzero HbarPoly}.
+
+    A subclass supplies _check_compatible(other), which raises on mixed
+    ambient data, and _with(terms), which builds an element with the
+    same ambient data as self.
+    """
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(out, k, c)
+        return self._with(out)
+
+    def __neg__(self):
+        return self._with({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, q):
+        """Multiply by a rational or HbarPoly scalar.
+
+        Q[hbar] has no zero divisors, so a nonzero q keeps every term.
+        """
+        if isinstance(q, HbarPoly):
+            return self._with({k: c * q for k, c in self.terms.items()} if q else {})
+        q = Fraction(q)
+        return self._with({k: c.scale(q) for k, c in self.terms.items()} if q else {})
+
+
+class AlgebraElement(TermMap):
     """An exact element of the asymptotic enveloping algebra of gl_N.
 
     terms maps PBW monomials ((gen code, exponent), ...) to nonzero
@@ -214,9 +265,6 @@ class AlgebraElement:
     def N(self) -> int:
         return self.order.N
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
@@ -229,42 +277,8 @@ class AlgebraElement:
         if self.order != other.order:
             raise AlgebraError("elements live over different N or generator orders")
 
-    # ------------------------------------------------------------------
-    # linear operations
-    # ------------------------------------------------------------------
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return AlgebraElement(self.order, out)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.order, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def scale(self, q) -> "AlgebraElement":
-        """Multiply by a rational or HbarPoly scalar."""
-        if isinstance(q, HbarPoly):
-            if q.is_zero():
-                return AlgebraElement(self.order, {})
-            out = {}
-            for m, c in self.terms.items():
-                p = c * q
-                if not p.is_zero():
-                    out[m] = p
-            return AlgebraElement(self.order, out)
-        q = Fraction(q)
-        if not q:
-            return AlgebraElement(self.order, {})
-        return AlgebraElement(self.order, {m: c.scale(q) for m, c in self.terms.items()})
+    def _with(self, terms: dict) -> "AlgebraElement":
+        return AlgebraElement(self.order, terms)
 
     # ------------------------------------------------------------------
     # multiplication and the asymptotic commutator
@@ -276,13 +290,7 @@ class AlgebraElement:
             for mb, cb in other.terms.items():
                 c = ca * cb
                 for m, p in _mono_product(self.order, ma, mb).items():
-                    prod = p * c
-                    acc = out.get(m)
-                    s = prod if acc is None else acc + prod
-                    if s.is_zero():
-                        out.pop(m, None)
-                    else:
-                        out[m] = s
+                    add_term(out, m, p * c)
         return AlgebraElement(self.order, out)
 
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -308,10 +316,7 @@ class AlgebraElement:
         return AlgebraElement(self.order, {m: c.shift(power) for m, c in self.terms.items()})
 
     def divide_hbar(self) -> "AlgebraElement":
-        out = {}
-        for m, c in self.terms.items():
-            out[m] = c.divide_hbar()
-        return AlgebraElement(self.order, out)
+        return AlgebraElement(self.order, {m: c.divide_hbar() for m, c in self.terms.items()})
 
     def divisible_by_hbar(self) -> bool:
         return all(c.divisible_by_hbar() for c in self.terms.values())
@@ -324,24 +329,9 @@ class AlgebraElement:
                 out[m] = p
         return AlgebraElement(self.order, out)
 
-    def substitute_hbar(self, value) -> "AlgebraElement":
-        """Evaluate hbar at an explicit rational value."""
-        out = {}
-        for m, c in self.terms.items():
-            v = c.evaluate(value)
-            if v:
-                out[m] = HbarPoly.const(v)
-        return AlgebraElement(self.order, out)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def pbw_degree(self) -> int:
-        """Maximal total exponent over stored monomials; -1 if zero."""
-        if not self.terms:
-            return -1
-        return max(sum(e for _, e in m) for m in self.terms)
-
     def kazhdan_degree(self, pyramid) -> float:
         """Filtration degree: deg E_ij = col(j)-col(i)+1 and deg hbar = 1.
 
@@ -374,13 +364,7 @@ class AlgebraElement:
         out = {}
         for m, c in self.terms.items():
             for m2, p in normal_order_word(new_order, _mono_to_word(m)).items():
-                prod = p * c
-                acc = out.get(m2)
-                s = prod if acc is None else acc + prod
-                if s.is_zero():
-                    out.pop(m2, None)
-                else:
-                    out[m2] = s
+                add_term(out, m2, p * c)
         return AlgebraElement(new_order, out)
 
     def sorted_terms(self):

@@ -29,14 +29,12 @@ diagonal, so this is not the identity on matrix units.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement
 from .pyramid import Pyramid
 
 _memo: dict = {}
-_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -146,8 +144,8 @@ def truncated_t(p: Pyramid, k: int, i: int, j: int, x: int, r: int) -> TGenerato
     else:
         value = _assemble(p, chain_sum(enum_p, i, j, x, r))
     gen = TGenerator(pyramid=p, truncation=k, i=i, j=j, x=x, r=r, value=value)
-    with _memo_lock:
-        return _memo.setdefault(key, gen)
+    _memo[key] = gen
+    return gen
 
 
 def t1_closed_form(p: Pyramid, i: int, j: int, x: int) -> AlgebraElement:

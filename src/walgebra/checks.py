@@ -4,19 +4,14 @@ A record is {"name", "status" ("pass"/"fail"), "witness", "seconds"};
 the CLI assembles them into reports, and the acceptance suite asserts on
 them.  All pipelines are deterministic for fixed inputs (randomized
 batteries take an explicit seed).
-
-Independent checks inside a pipeline may be evaluated concurrently; the
-worker count is capped by the WALG_THREADS environment variable.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 
-from .algebra import AlgebraElement, GeneratorOrder
+from .algebra import AlgebraElement, GeneratorOrder, _word_to_mono, add_term
 from .bk import t1_closed_form, t_element, truncated_t
 from .geometry import verify_inverse
 from .hbar import HbarPoly
@@ -40,42 +35,23 @@ from .tensorj import (
 from .whittaker import build_basis, canonicalize
 
 
-def worker_count() -> int:
-    cap = os.environ.get("WALG_THREADS")
-    n = os.cpu_count() or 1
-    if cap:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError:
-            pass
-    return n
-
-
 def _run_checks(jobs):
-    """jobs: list of (name, thunk) -> list of records, order-preserving."""
-    results = [None] * len(jobs)
-
-    def run_one(idx):
-        name, thunk = jobs[idx]
+    """jobs: list of (name, thunk) -> list of records, in job order."""
+    results = []
+    for name, thunk in jobs:
         start = time.monotonic()
         try:
             ok, witness = thunk()
         except Exception as exc:  # verification gates raise on failure
             ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
-        results[idx] = {
-            "name": name,
-            "status": "pass" if ok else "fail",
-            "witness": witness,
-            "seconds": round(time.monotonic() - start, 6),
-        }
-
-    n = worker_count()
-    if n <= 1 or len(jobs) <= 1:
-        for i in range(len(jobs)):
-            run_one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            list(pool.map(run_one, range(len(jobs))))
+        results.append(
+            {
+                "name": name,
+                "status": "pass" if ok else "fail",
+                "witness": witness,
+                "seconds": round(time.monotonic() - start, 6),
+            }
+        )
     return results
 
 
@@ -90,18 +66,12 @@ def _random_element(order: GeneratorOrder, rng: random.Random) -> AlgebraElement
         word = sorted(
             (rng.randrange(N * N) for _ in range(length)), key=lambda g: order.ranks[g]
         )
-        mono = []
-        for g in word:
-            if mono and mono[-1][0] == g:
-                mono[-1] = (g, mono[-1][1] + 1)
-            else:
-                mono.append((g, 1))
+        mono = _word_to_mono(word)
         coeff = HbarPoly((rng.randint(-3, 3), rng.randint(-1, 1)))
         if coeff.is_zero():
             coeff = HbarPoly((1,))
-        mono = tuple(mono)
-        terms[mono] = terms.get(mono, HbarPoly()) + coeff
-    return AlgebraElement.from_terms(order, terms)
+        add_term(terms, mono, coeff)
+    return AlgebraElement(order, terms)
 
 
 def engine_health(N: int = 4, cases: int = 1000, seed: int = 2024) -> list:

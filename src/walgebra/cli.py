@@ -9,7 +9,10 @@ Subcommands:
   selftest          engine health plus the identity suites at one N
 
 Exit codes: 0 on success; 1 on hard verification failure or, under
---strict, on any failed check or comparison mismatch; 2 on usage errors.
+--strict, on any failed check or comparison mismatch; 2 on usage errors,
+which include input rejected before any computation: a bad pyramid
+literal or truncation, T-indices out of range, N < 2, and N < 3 for
+check-omega.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import sys
 
 from . import __version__
-from .bk import truncated_t
+from .bk import _check_args, truncated_t
 from .checks import (
     engine_health,
     fusion_suite,
@@ -29,7 +32,8 @@ from .checks import (
     recursion_suite,
     whittaker_suite,
 )
-from .pyramid import Pyramid
+from .geometry import GeometryError
+from .pyramid import Pyramid, PyramidError
 from .render import render_algebra
 from .reports import VerificationReport, save_fixture
 
@@ -252,9 +256,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_input(args) -> None:
+    """Raise on input that no computation accepts, before any work starts."""
+    if args.command == "compute-T":
+        p = Pyramid.parse(args.pyramid)
+        _check_args(p.truncate(args.truncate), args.i, args.j, args.x, args.r)
+        return
+    Pyramid.subregular(args.N)
+    if args.command == "check-omega" and args.N < 3:
+        raise GeometryError("check-omega needs N >= 3")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        _check_input(args)
+    except (PyramidError, GeometryError, ValueError) as exc:
+        parser.error(str(exc))
     return args.func(args)
 
 

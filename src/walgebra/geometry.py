@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .algebra import add_term
 from .pyramid import Pyramid
 
 
@@ -162,12 +163,7 @@ class RMatrixElement:
         self.terms = {k: Fraction(v) for k, v in (terms or {}).items() if v}
 
     def add(self, first, second, coeff=1):
-        key = (tuple(first), tuple(second))
-        val = self.terms.get(key, Fraction(0)) + Fraction(coeff)
-        if val:
-            self.terms[key] = val
-        else:
-            self.terms.pop(key, None)
+        add_term(self.terms, (tuple(first), tuple(second)), Fraction(coeff))
 
     def swap_legs(self) -> "RMatrixElement":
         return RMatrixElement(self.N, {(s, f): c for (f, s), c in self.terms.items()})
@@ -175,21 +171,13 @@ class RMatrixElement:
     def __sub__(self, other: "RMatrixElement") -> "RMatrixElement":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            val = out.get(k, Fraction(0)) - c
-            if val:
-                out[k] = val
-            else:
-                out.pop(k, None)
+            add_term(out, k, -c)
         return RMatrixElement(self.N, out)
 
     def __add__(self, other: "RMatrixElement") -> "RMatrixElement":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            val = out.get(k, Fraction(0)) + c
-            if val:
-                out[k] = val
-            else:
-                out.pop(k, None)
+            add_term(out, k, c)
         return RMatrixElement(self.N, out)
 
     def __eq__(self, other):
@@ -229,7 +217,7 @@ def jc_recursive(N: int) -> RMatrixElement:
             out = {(j, i - 1): Fraction(1)} if i > 2 else {}
         else:
             out = dict(j21(i - 1, j - 1))
-            out[(j, i - 1)] = out.get((j, i - 1), Fraction(0)) + 1
+            add_term(out, (j, i - 1), Fraction(1))
         image[key] = out
         return out
 
@@ -289,9 +277,8 @@ def verify_inverse(N: int) -> dict:
                 break
             phi = gram[a][pf]
             if phi:
-                acc[s] = acc.get(s, Fraction(0)) + phi * c
+                add_term(acc, s, phi * c)
         else:
-            acc = {k: v2 for k, v2 in acc.items() if v2}
             if acc != {v: Fraction(1)}:
                 inverse_ok = False
         if not inverse_ok:

@@ -27,10 +27,17 @@ tuples are concatenated, and the result is reduced again.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import hbar as hb
-from .algebra import AlgebraElement, AlgebraError, gen_code, gen_ij
+from .algebra import (
+    AlgebraElement,
+    AlgebraError,
+    TermMap,
+    _mono_product,
+    _mono_to_word,
+    add_term,
+    gen_code,
+    gen_ij,
+)
 from .hbar import HbarPoly
 from .pyramid import CharacterPsi, Pyramid
 
@@ -41,7 +48,7 @@ class ReductionError(Exception):
     """Non-termination guard tripped or structural misuse."""
 
 
-class ModuleElement:
+class ModuleElement(TermMap):
     """An element of U ⊗ (C^N)^{⊗t} / m^psi in reduced form."""
 
     __slots__ = ("pyramid", "order", "t", "terms")
@@ -53,10 +60,6 @@ class ModuleElement:
         self.terms = terms
 
     # ------------------------------------------------------------------
-    @classmethod
-    def vacuum(cls, pyramid: Pyramid) -> "ModuleElement":
-        return cls(pyramid, 0, {((), ()): hb.ONE})
-
     @classmethod
     def basis_vector(cls, pyramid: Pyramid, k: int) -> "ModuleElement":
         if not 1 <= k <= pyramid.N:
@@ -79,9 +82,6 @@ class ModuleElement:
     def N(self) -> int:
         return self.pyramid.N
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, ModuleElement):
             return NotImplemented
@@ -91,44 +91,12 @@ class ModuleElement:
             and self.terms == other.terms
         )
 
-    def _check(self, other: "ModuleElement"):
+    def _check_compatible(self, other: "ModuleElement"):
         if self.pyramid != other.pyramid or self.t != other.t or self.order != other.order:
             raise AlgebraError("module elements live over different ambient data")
 
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return ModuleElement(self.pyramid, self.t, out, self.order)
-
-    def __neg__(self):
-        return ModuleElement(
-            self.pyramid, self.t, {k: -c for k, c in self.terms.items()}, self.order
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, q) -> "ModuleElement":
-        if isinstance(q, HbarPoly):
-            out = {}
-            for k, c in self.terms.items():
-                p = c * q
-                if not p.is_zero():
-                    out[k] = p
-            return ModuleElement(self.pyramid, self.t, out, self.order)
-        q = Fraction(q)
-        if not q:
-            return ModuleElement(self.pyramid, self.t, {}, self.order)
-        return ModuleElement(
-            self.pyramid, self.t, {k: c.scale(q) for k, c in self.terms.items()}, self.order
-        )
+    def _with(self, terms: dict) -> "ModuleElement":
+        return ModuleElement(self.pyramid, self.t, terms, self.order)
 
     def coefficient_at(self, slots) -> AlgebraElement:
         """The U-factor multiplying the given slot tuple."""
@@ -216,33 +184,18 @@ def reduce_mod_m_psi(
                 raise ReductionError(
                     "monomial has an interior m-factor; order is not m-last"
                 )
-            key = (mono, slots)
-            acc = done.get(key)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                done.pop(key, None)
-            else:
-                done[key] = s
+            add_term(done, (mono, slots), c)
             continue
         g, e = mono[-1]
         u = mono[:-1] + ((g, e - 1),) if e > 1 else mono[:-1]
         i, j = gen_ij(N, g)
         val = psi(i, j)
-
-        def push(key, coeff):
-            acc = pending.get(key)
-            s = coeff if acc is None else acc + coeff
-            if s.is_zero():
-                pending.pop(key, None)
-            else:
-                pending[key] = s
-
         if val:
-            push((u, slots), c.scale(val))
+            add_term(pending, (u, slots), c.scale(val))
         ch = c.shift(1)
         for a, k in enumerate(slots):
             if k == j:
-                push((u, slots[:a] + (i,) + slots[a + 1 :]), ch)
+                add_term(pending, (u, slots[:a] + (i,) + slots[a + 1 :]), ch)
     return ModuleElement(p, raw.t, done, raw.order)
 
 
@@ -251,20 +204,11 @@ def act_left(xi: AlgebraElement, m: ModuleElement) -> ModuleElement:
     if xi.N != m.N:
         raise AlgebraError("mismatched N")
     out: dict = {}
-    from .algebra import _mono_product
-
     for (um, slots), c in m.terms.items():
         for xm, xc in xi.terms.items():
             cc = xc * c
             for mono, pc in _mono_product(m.order, xm, um).items():
-                prod = pc * cc
-                key = (mono, slots)
-                acc = out.get(key)
-                s = prod if acc is None else acc + prod
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                add_term(out, (mono, slots), pc * cc)
     return reduce_mod_m_psi(ModuleElement(m.pyramid, m.t, out, m.order))
 
 
@@ -278,15 +222,6 @@ def ad_action(xi_ij, m: ModuleElement) -> ModuleElement:
     xi = AlgebraElement.generator(m.order, i, j)
     bracket_cache: dict = {}
     out: dict = {}
-
-    def push(key, coeff):
-        acc = out.get(key)
-        s = coeff if acc is None else acc + coeff
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     for (um, slots), c in m.terms.items():
         br = bracket_cache.get(um)
         if br is None:
@@ -294,10 +229,10 @@ def ad_action(xi_ij, m: ModuleElement) -> ModuleElement:
             br = xi.commutator(u_el)
             bracket_cache[um] = br
         for mono, pc in br.terms.items():
-            push((mono, slots), pc * c)
+            add_term(out, (mono, slots), pc * c)
         for a, k in enumerate(slots):
             if k == j:
-                push((um, slots[:a] + (i,) + slots[a + 1 :]), c)
+                add_term(out, (um, slots[:a] + (i,) + slots[a + 1 :]), c)
     return reduce_mod_m_psi(ModuleElement(p, m.t, out, m.order))
 
 
@@ -349,28 +284,17 @@ def b_reduction_is_zero(x: AlgebraElement, p: Pyramid) -> bool:
 # ----------------------------------------------------------------------
 def right_mul_gen(m: ModuleElement, g: int) -> ModuleElement:
     """The right action of a single generator: u*g ⊗ v - hbar u ⊗ (g.v)."""
-    from .algebra import _mono_product
-
     N = m.N
     i, j = gen_ij(N, g)
     gm = ((g, 1),)
     out: dict = {}
-
-    def push(key, coeff):
-        acc = out.get(key)
-        s = coeff if acc is None else acc + coeff
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     for (um, slots), c in m.terms.items():
         for mono, pc in _mono_product(m.order, um, gm).items():
-            push((mono, slots), pc * c)
+            add_term(out, (mono, slots), pc * c)
         ch = c.shift(1)
         for a, k in enumerate(slots):
             if k == j:
-                push((um, slots[:a] + (i,) + slots[a + 1 :]), ch.scale(-1))
+                add_term(out, (um, slots[:a] + (i,) + slots[a + 1 :]), ch.scale(-1))
     return ModuleElement(m.pyramid, m.t, out, m.order)
 
 
@@ -395,22 +319,13 @@ def fuse(a: ModuleElement, b: ModuleElement) -> ModuleElement:
     t_out = a.t + b.t
     out: dict = {}
     transported: dict = {}
-    from .algebra import _mono_to_word
-
     for (ym, yslots), yc in b.terms.items():
         moved = transported.get(ym)
         if moved is None:
             moved = transport(a, _mono_to_word(ym))
             transported[ym] = moved
         for (um, uslots), uc in moved.terms.items():
-            key = (um, uslots + yslots)
-            prod = uc * yc
-            acc = out.get(key)
-            s = prod if acc is None else acc + prod
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            add_term(out, (um, uslots + yslots), uc * yc)
     return reduce_mod_m_psi(ModuleElement(p, t_out, out, a.order))
 
 

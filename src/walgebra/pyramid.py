@@ -127,9 +127,6 @@ class Pyramid:
     def blocks_in_row(self, r: int):
         return tuple(b for b in range(1, self.N + 1) if self._row[b] == r)
 
-    def blocks_in_col(self, c: int):
-        return tuple(b for b in range(1, self.N + 1) if self._col[b] == c)
-
     def __eq__(self, other):
         return isinstance(other, Pyramid) and self.heights == other.heights
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import AlgebraElement, gen_ij
+from .algebra import AlgebraElement, add_term, gen_ij
 from .geometry import jc_closed_form
 from .modules import (
     ModuleElement,
@@ -127,8 +127,7 @@ def compute_J(N: int, basis: WhittakerBasis | None = None) -> JMatrix:
                             % ((a, l), (i, j))
                         )
                     F = F - right_act(pair_gens[(a, l)], c)
-                    prev = acc.get((a, l))
-                    acc[(a, l)] = c if prev is None else prev + c
+                    add_term(acc, (a, l), c)
             else:
                 raise TensorJError("Gaussian pass bound exceeded at pair %r" % ((i, j),))
             if F.coefficient_at((i, j)) != one:
@@ -143,8 +142,7 @@ def compute_J(N: int, basis: WhittakerBasis | None = None) -> JMatrix:
                     )
             pair_gens[(i, j)] = F
             for key, c in acc.items():
-                if not c.is_zero():
-                    entries[(key, (i, j))] = c
+                entries[(key, (i, j))] = c
     return JMatrix(pyramid=p, entries=entries, pair_generators=pair_gens, basis=basis)
 
 
@@ -199,13 +197,9 @@ class SemiclassicalJ:
             return
         key = (tuple(row), tuple(col))
         poly = self.entries.setdefault(key, {})
-        val = poly.get((x21_exp, x11_exp), Fraction(0)) + coeff
-        if val:
-            poly[(x21_exp, x11_exp)] = val
-        else:
-            poly.pop((x21_exp, x11_exp), None)
-            if not poly:
-                self.entries.pop(key, None)
+        add_term(poly, (x21_exp, x11_exp), coeff)
+        if not poly:
+            del self.entries[key]
 
     def constant_part(self) -> "SemiclassicalJ":
         out = SemiclassicalJ(self.N)

@@ -80,10 +80,34 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
     assert code == 0
 
 
-def test_usage_error_exit_code():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute-T", "--pyramid", "subreg:3"],
+        ["compute-J", "--N", "1"],
+        ["selftest", "--N", "1"],
+        ["verify-whittaker", "--N", "1"],
+        ["check-omega", "--N", "2"],
+        ["compute-T", "--pyramid", "3,1,2", "--i", "1", "--j", "1", "--x", "0", "--r", "1"],
+        ["compute-T", "--pyramid", "1,2,1", "--i", "5", "--j", "1", "--x", "0", "--r", "1"],
+    ],
+    ids=[
+        "missing-args",
+        "compute-J-N1",
+        "selftest-N1",
+        "verify-whittaker-N1",
+        "check-omega-N2",
+        "not-unimodal",
+        "row-out-of-range",
+    ],
+)
+def test_usage_error_exit_code(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["compute-T", "--pyramid", "subreg:3"])
+        main(argv)
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_selftest_small(capsys):

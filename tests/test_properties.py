@@ -2,10 +2,10 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from walgebra.algebra import AlgebraElement, GeneratorOrder
+from walgebra.algebra import AlgebraElement, GeneratorOrder, normal_order_word
 from walgebra.hbar import HbarPoly
 from walgebra.modules import ModuleElement, fuse, reduce_mod_m_psi
 from walgebra.pyramid import Pyramid
@@ -91,3 +91,84 @@ def test_reduction_idempotent(x):
     p = Pyramid.subregular(3)
     m = reduce_mod_m_psi(ModuleElement.embed(x, p, (1,)))
     assert reduce_mod_m_psi(m) == m
+
+
+# ----------------------------------------------------------------------
+# matrix representations: an oracle that shares no code with the rewriter
+# ----------------------------------------------------------------------
+# E_ij -> hbar*e_ij is a representation of U_hbar(gl_N), since
+# [hbar e_ij, hbar e_kl] = hbar * (hbar [e_ij, e_kl]); so is its coproduct
+# image hbar*(e_ij (x) 1 + 1 (x) e_ij) on C^N (x) C^N.
+HBAR_VALUES = (Fraction(1), Fraction(2), Fraction(-1, 3))
+
+
+def _zero(n):
+    return [[Fraction(0)] * n for _ in range(n)]
+
+
+def _identity(n):
+    m = _zero(n)
+    for k in range(n):
+        m[k][k] = Fraction(1)
+    return m
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def rho_vector(N, code, h):
+    i, j = divmod(code, N)
+    m = _zero(N)
+    m[i][j] = h
+    return m
+
+
+def rho_tensor(N, code, h):
+    i, j = divmod(code, N)
+    m = _zero(N * N)
+    for b in range(N):
+        m[i * N + b][j * N + b] += h
+        m[b * N + i][b * N + j] += h
+    return m
+
+
+def _word_matrix(rho, N, word, h):
+    out = _identity(len(rho(N, 0, h)))
+    for g in word:
+        out = _mat_mul(out, rho(N, g, h))
+    return out
+
+
+def _terms_matrix(rho, N, terms, h):
+    """sum over the PBW terms of c_m(h) * rho(m)."""
+    n = len(rho(N, 0, h))
+    total = _zero(n)
+    for mono, c in terms.items():
+        word = [g for g, e in mono for _ in range(e)]
+        m = _word_matrix(rho, N, word, h)
+        ch = c.evaluate(h)
+        total = [[t + ch * x for t, x in zip(rt, rm)] for rt, rm in zip(total, m)]
+    return total
+
+
+@seed(20240601)
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 8), max_size=5))
+def test_normal_order_word_matches_matrix_representations(word):
+    pbw = normal_order_word(ORDER3, word)
+    for rho in (rho_vector, rho_tensor):
+        for h in HBAR_VALUES:
+            assert _terms_matrix(rho, 3, pbw, h) == _word_matrix(rho, 3, word, h)
+
+
+@seed(20240602)
+@settings(max_examples=30, deadline=None)
+@given(algebra_elements(), algebra_elements())
+def test_product_matches_matrix_representations(a, b):
+    ab = a * b
+    for rho in (rho_vector, rho_tensor):
+        for h in HBAR_VALUES:
+            lhs = _terms_matrix(rho, 3, ab.terms, h)
+            rhs = _mat_mul(_terms_matrix(rho, 3, a.terms, h), _terms_matrix(rho, 3, b.terms, h))
+            assert lhs == rhs
