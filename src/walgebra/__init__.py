@@ -1,8 +1,8 @@
 """Exact symbolic calculus in the asymptotic enveloping algebra of gl_N.
 
 The package keeps every computation over the rationals: coefficients are
-polynomials in the deformation parameter hbar with Fraction coefficients,
-and all products are rewritten into PBW normal form with respect to an
+polynomials in the deformation parameter hbar whose coefficients are ints
+where integral and Fractions otherwise, and all products are rewritten into PBW normal form with respect to an
 explicit total order on the matrix-unit generators.  On top of that core
 it builds pyramid combinatorics, the degree-filtered invariants T^(r) of
 Brundan-Kleshchev type, Whittaker vectors for the vector representation,

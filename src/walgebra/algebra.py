@@ -24,10 +24,11 @@ functions.
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
 
 from . import hbar as hb
 from .hbar import HbarPoly
+
+NORMAL_ORDER_STEP_BUDGET = 10_000_000
 
 
 class AlgebraError(Exception):
@@ -119,8 +120,8 @@ def _word_to_mono(word):
 def add_term(terms: dict, key, coeff) -> None:
     """terms[key] += coeff in place, dropping the key when the sum is zero.
 
-    One kernel for every term map of the package: HbarPoly, Fraction and
-    the element types are all falsy exactly at zero.
+    One kernel for every term map of the package: HbarPoly, the rationals
+    and the element types are all falsy exactly at zero.
     """
     acc = terms.get(key)
     s = coeff if acc is None else acc + coeff
@@ -142,13 +143,18 @@ def normal_order_word(order: GeneratorOrder, word) -> dict:
 
     Returns a map {monomial: HbarPoly}.  The worklist keys pending words so
     coefficients of identical intermediates merge as early as possible, and
-    a word whose coefficient cancels leaves the worklist at once.
+    a word whose coefficient cancels leaves the worklist at once.  More than
+    NORMAL_ORDER_STEP_BUDGET worklist steps raise AlgebraError.
     """
     ranks = order.ranks
     N = order.N
     pending = {tuple(word): hb.ONE}
     done = {}
+    steps = 0
     while pending:
+        steps += 1
+        if steps > NORMAL_ORDER_STEP_BUDGET:
+            raise AlgebraError("normal-ordering step budget exceeded; rewrite engine broken?")
         w, c = pending.popitem()
         # locate the first adjacent inversion
         pos = -1
@@ -214,7 +220,6 @@ class TermMap:
         """
         if isinstance(q, HbarPoly):
             return self._with({k: c * q for k, c in self.terms.items()} if q else {})
-        q = Fraction(q)
         return self._with({k: c.scale(q) for k, c in self.terms.items()} if q else {})
 
 

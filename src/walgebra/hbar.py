@@ -1,38 +1,49 @@
 """Exact polynomials in the deformation parameter hbar.
 
-Coefficients are arbitrary-precision rationals; a polynomial is stored as
-a tuple of Fractions indexed by hbar-power with trailing zeros stripped,
-so equality of values is equality of representations.  There is no
-floating point anywhere in this package.
+Coefficients are arbitrary-precision rationals: a polynomial is stored as
+a tuple indexed by hbar-power with trailing zeros stripped, each
+coefficient an int where it is integral and a Fraction otherwise, so
+equality of values is equality of representations.  The engine's own
+coefficients are all integers and never leave int arithmetic.  There is
+no floating point anywhere in this package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _exact(c):
+    """The canonical exact form of a rational: an int stays as it is;
+    anything else becomes a Fraction, reduced to its numerator when that
+    is integral."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class HbarPoly:
-    """A polynomial sum_d c_d * hbar^d with rational c_d, canonically stored."""
+    """A polynomial sum_d c_d * hbar^d with rational c_d, canonically stored
+    (see _exact)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        # the inline int test saves a call per coefficient on the hot path
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
     @classmethod
     def const(cls, c) -> "HbarPoly":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def hbar(cls, power: int = 1, c=1) -> "HbarPoly":
         """c * hbar^power."""
-        return cls((_ZERO,) * power + (Fraction(c),))
+        return cls((0,) * power + (c,))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -69,7 +80,7 @@ class HbarPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
-        out = [_ZERO] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -78,7 +89,7 @@ class HbarPoly:
         return HbarPoly(out)
 
     def scale(self, q) -> "HbarPoly":
-        q = Fraction(q)
+        q = _exact(q)
         if not q:
             return ZERO
         return HbarPoly(tuple(c * q for c in self.coeffs))
@@ -87,7 +98,7 @@ class HbarPoly:
         """Multiply by hbar^power."""
         if not self.coeffs:
             return ZERO
-        return HbarPoly((_ZERO,) * power + self.coeffs)
+        return HbarPoly((0,) * power + self.coeffs)
 
     def divide_hbar(self) -> "HbarPoly":
         """Exact division by hbar; raises if the constant term is nonzero."""
@@ -95,12 +106,12 @@ class HbarPoly:
             raise ValueError("not divisible by hbar: constant term %s" % self.coeffs[0])
         return HbarPoly(self.coeffs[1:])
 
-    def coefficient(self, power: int) -> Fraction:
+    def coefficient(self, power: int) -> int | Fraction:
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
-        return _ZERO
+        return 0
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> int | Fraction:
         return self.coefficient(0)
 
     def at_hbar_zero(self) -> "HbarPoly":
@@ -108,14 +119,14 @@ class HbarPoly:
 
     def hbar_part(self, power: int) -> "HbarPoly":
         """The single component c_power * hbar^power."""
-        return HbarPoly((_ZERO,) * power + (self.coefficient(power),))
+        return HbarPoly((0,) * power + (self.coefficient(power),))
 
     def divisible_by_hbar(self) -> bool:
         return not self.coeffs or self.coeffs[0] == 0
 
-    def evaluate(self, value) -> Fraction:
-        value = Fraction(value)
-        acc = _ZERO
+    def evaluate(self, value) -> int | Fraction:
+        value = _exact(value)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
@@ -125,7 +136,7 @@ class HbarPoly:
 
     @classmethod
     def from_json(cls, data) -> "HbarPoly":
-        return cls(tuple(Fraction(s) for s in data))
+        return cls(data)
 
     def __repr__(self):
         return "HbarPoly(%r)" % (self.coeffs,)

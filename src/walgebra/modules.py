@@ -99,10 +99,19 @@ class ModuleElement(TermMap):
         return ModuleElement(self.pyramid, self.t, terms, self.order)
 
     def coefficient_at(self, slots) -> AlgebraElement:
-        """The U-factor multiplying the given slot tuple."""
+        """The U-factor multiplying the given slot tuple (a full scan; use
+        by_slots to visit every slot tuple)."""
         slots = tuple(slots)
         out = {m: c for (m, s), c in self.terms.items() if s == slots}
         return AlgebraElement(self.order, out)
+
+    def by_slots(self) -> dict:
+        """{slot tuple: U-factor} over the slot support, keys sorted,
+        built in one pass over the terms."""
+        groups: dict = {}
+        for (m, s), c in self.terms.items():
+            groups.setdefault(s, {})[m] = c
+        return {s: AlgebraElement(self.order, groups[s]) for s in sorted(groups)}
 
     def slot_support(self):
         return sorted({s for (_, s) in self.terms})

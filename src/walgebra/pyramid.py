@@ -23,8 +23,6 @@ m-action and the left quotient by b monomial-selective.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import hbar as hb
 from .algebra import AlgebraElement, GeneratorOrder, gen_code
 
@@ -271,10 +269,10 @@ class CharacterPsi:
         values = {}
         for (i, j) in pyramid.m_basis():
             # Tr(e E_ij) = 1 exactly when E_ji is a summand of e
-            values[(i, j)] = Fraction(1) if (j, i) in e_pairs else Fraction(0)
+            values[(i, j)] = 1 if (j, i) in e_pairs else 0
         self.values = values
 
-    def __call__(self, i: int, j: int) -> Fraction:
+    def __call__(self, i: int, j: int) -> int:
         try:
             return self.values[(i, j)]
         except KeyError:

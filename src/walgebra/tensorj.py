@@ -111,11 +111,12 @@ def compute_J(N: int, basis: WhittakerBasis | None = None) -> JMatrix:
             F = fuse(basis.vector(i), basis.vector(j))
             acc: dict = {}
             for _ in range(_GAUSS_PASS_BOUND):
+                coeffs = F.by_slots()
                 obstructions = []
-                for slots in F.slot_support():
+                for slots, x in coeffs.items():
                     if slots == (i, j):
                         continue
-                    c = l_constant_part(F.coefficient_at(slots), p)
+                    c = l_constant_part(x, p)
                     if not c.is_zero():
                         obstructions.append((slots, c))
                 if not obstructions:
@@ -130,12 +131,13 @@ def compute_J(N: int, basis: WhittakerBasis | None = None) -> JMatrix:
                     add_term(acc, (a, l), c)
             else:
                 raise TensorJError("Gaussian pass bound exceeded at pair %r" % ((i, j),))
-            if F.coefficient_at((i, j)) != one:
+            # coeffs is the slot decomposition of the final F
+            if coeffs.get((i, j)) != one:
                 raise TensorJError("pair generator %r lost its unit leading term" % ((i, j),))
-            for slots in F.slot_support():
+            for slots, x in coeffs.items():
                 if slots == (i, j):
                     continue
-                if not b_reduction_is_zero(F.coefficient_at(slots), p):
+                if not b_reduction_is_zero(x, p):
                     raise TensorJError(
                         "residual coefficient at %r of pair %r is not in b·U"
                         % (slots, (i, j))
@@ -349,11 +351,11 @@ def semiclassical_from_asymptotics(N: int, basis: WhittakerBasis | None = None) 
     out = SemiclassicalJ(N)
     for j in range(1, N + 1):
         vec = basis.vector(j)
-        for slots in vec.slot_support():
+        for slots, x in vec.by_slots().items():
             l = slots[0]
             if l == j:
                 continue
-            lin, llin = asymptotic_parts(vec.coefficient_at(slots), p)
+            lin, llin = asymptotic_parts(x, p)
             for i in range(1, N + 1):
                 for mono, c in lin.terms.items():
                     (g, _e), = mono

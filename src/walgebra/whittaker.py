@@ -225,16 +225,16 @@ _CANONICALIZE_PASS_BOUND = 64
 
 def is_canonical_vector(vec: ModuleElement, leading: int, p: Pyramid) -> bool:
     """1 ⊗ v_leading plus higher slots with coefficients in b·U."""
-    lead = vec.coefficient_at((leading,))
-    if lead != AlgebraElement.one(vec.order):
+    coeffs = vec.by_slots()
+    if coeffs.get((leading,)) != AlgebraElement.one(vec.order):
         return False
-    for slots in vec.slot_support():
+    for slots, x in coeffs.items():
         q = slots[0]
         if q == leading:
             continue
         if q < leading:
             return False
-        if not b_reduction_is_zero(vec.coefficient_at(slots), p):
+        if not b_reduction_is_zero(x, p):
             return False
     return True
 
@@ -251,8 +251,10 @@ def canonicalize(basis: WhittakerBasis) -> WhittakerBasis:
         vec = basis.vectors[leading]
         for _ in range(_CANONICALIZE_PASS_BOUND):
             corrections = []
-            for q in range(leading + 1, N + 1):
-                c = l_constant_part(vec.coefficient_at((q,)), p)
+            for (q,), x in vec.by_slots().items():
+                if q <= leading:
+                    continue
+                c = l_constant_part(x, p)
                 if not c.is_zero():
                     corrections.append((q, c))
             if not corrections:

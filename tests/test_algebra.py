@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from walgebra import algebra
 from walgebra.algebra import (
     AlgebraElement,
     AlgebraError,
     GeneratorOrder,
     gen_code,
     gen_ij,
+    normal_order_word,
 )
 from walgebra.hbar import HBAR, HbarPoly
 from walgebra.pyramid import Pyramid
@@ -197,3 +199,16 @@ def test_scale_and_purge(lex4):
     assert a.scale(0).is_zero()
     assert a.scale(Fraction(2, 3)).scale(Fraction(3, 2)) == a
     assert (a - a).is_zero()
+
+
+def test_normal_order_step_budget(monkeypatch):
+    order = GeneratorOrder.lex(3)
+    word = tuple(reversed(range(9)))
+    pbw = normal_order_word(order, word)
+    product = AlgebraElement.one(order)
+    for g in word:
+        product = product * AlgebraElement.generator(order, *gen_ij(3, g))
+    assert pbw == product.terms
+    monkeypatch.setattr(algebra, "NORMAL_ORDER_STEP_BUDGET", 50)
+    with pytest.raises(AlgebraError, match="step budget"):
+        normal_order_word(order, word)

@@ -45,3 +45,25 @@ def test_json_round_trip():
     p = HbarPoly((Fraction(-3, 7), 0, Fraction(22)))
     assert HbarPoly.from_json(p.to_json()) == p
     assert p.to_json() == ["-3/7", "0/1", "22/1"]
+
+
+def test_integral_sum_is_stored_as_int():
+    s = HbarPoly((Fraction(1, 2),)) + HbarPoly((Fraction(1, 2),))
+    assert s.coeffs == (1,)
+    assert type(s.coeffs[0]) is int
+    assert s.to_json() == ["1/1"]
+
+
+def test_one_representation_per_value():
+    a, b = HbarPoly((Fraction(4, 2),)), HbarPoly((2,))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.coeffs == b.coeffs == (2,)
+
+
+def test_nonintegral_scale_stays_exact():
+    p = HbarPoly((3, 1)).scale(Fraction(1, 2))
+    assert p.coeffs == (Fraction(3, 2), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.scale(2).coeffs == (3, 1)
+    assert all(type(c) is int for c in p.scale(2).coeffs)

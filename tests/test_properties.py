@@ -53,6 +53,23 @@ def test_hbar_shift_divide(p):
     assert p.shift(1).divide_hbar() == p
 
 
+@seed(20240603)
+@settings(max_examples=100, deadline=None)
+@given(hbar_polys, hbar_polys, rationals, st.integers(0, 3))
+def test_hbar_coefficient_is_int_exactly_when_integral(a, b, q, k):
+    results = (
+        a + b,
+        a - b,
+        a * b,
+        a.scale(q),
+        a.shift(k),
+        (a.shift(1) + b.shift(2)).divide_hbar(),
+    )
+    for p in results:
+        for c in p.coeffs:
+            assert (type(c) is int) == (c.denominator == 1), p
+
+
 @settings(max_examples=60, deadline=None)
 @given(algebra_elements(), algebra_elements(), algebra_elements())
 def test_product_associative(a, b, c):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from walgebra.algebra import AlgebraElement
@@ -26,6 +29,11 @@ def J3():
 @pytest.fixture(scope="module")
 def J4():
     return compute_J(4)
+
+
+@pytest.fixture(scope="module")
+def J5():
+    return compute_J(5)
 
 
 def test_j3_hand_values(J3):
@@ -257,8 +265,31 @@ def test_n5_printed_signs_refuted_by_gaussian_residual():
 
 
 def test_jmatrix_json_deterministic(J3):
-    import json
-
     a = json.dumps(J3.to_json(), sort_keys=True)
     b = json.dumps(compute_J(3).to_json(), sort_keys=True)
     assert a == b
+
+
+def _digest(data):
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_j5_golden_digests(J5):
+    # recorded at commit 2dd3fda, when every coefficient was a Fraction
+    assert _digest(J5.to_json()) == (
+        "d6f7e64d989220ffb2789d26dc0abd30fa657601ad762efb6bf7a648d3c578a1"
+    )
+    pairs = {"%d,%d" % k: v.to_json() for k, v in sorted(J5.pair_generators.items())}
+    assert _digest(pairs) == (
+        "af2554248a31925f3aa6611e8b9893985432da0b90a14766cbfa280e350615c8"
+    )
+
+
+def test_j5_coefficients_are_ints(J5):
+    # nothing in the construction of J divides
+    elements = list(J5.entries.values()) + list(J5.pair_generators.values())
+    assert elements
+    for x in elements:
+        for poly in x.terms.values():
+            assert all(type(c) is int for c in poly.coeffs), poly
