@@ -185,7 +185,10 @@ def _mono_product(order: GeneratorOrder, ma, mb) -> dict:
 
 class TermMap:
     """The linear structure shared by the element types: a finite map
-    terms = {key: nonzero HbarPoly}.
+    terms = {key: nonzero coefficient}.  AlgebraElement keys monomials
+    and holds HbarPoly coefficients; ModuleElement keys
+    (monomial, slots, hbar-degree) and holds bare rationals.  Either
+    coefficient is falsy exactly at zero, so add_term merges both.
 
     A subclass supplies _check_compatible(other), which raises on mixed
     ambient data, and _with(terms), which builds an element with the
@@ -212,15 +215,6 @@ class TermMap:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, q):
-        """Multiply by a rational or HbarPoly scalar.
-
-        Q[hbar] has no zero divisors, so a nonzero q keeps every term.
-        """
-        if isinstance(q, HbarPoly):
-            return self._with({k: c * q for k, c in self.terms.items()} if q else {})
-        return self._with({k: c.scale(q) for k, c in self.terms.items()} if q else {})
 
 
 class AlgebraElement(TermMap):
@@ -284,6 +278,15 @@ class AlgebraElement(TermMap):
 
     def _with(self, terms: dict) -> "AlgebraElement":
         return AlgebraElement(self.order, terms)
+
+    def scale(self, q):
+        """Multiply by a rational or HbarPoly scalar.
+
+        Q[hbar] has no zero divisors, so a nonzero q keeps every term.
+        """
+        if isinstance(q, HbarPoly):
+            return self._with({k: c * q for k, c in self.terms.items()} if q else {})
+        return self._with({k: c.scale(q) for k, c in self.terms.items()} if q else {})
 
     # ------------------------------------------------------------------
     # multiplication and the asymptotic commutator

@@ -18,7 +18,6 @@ from .hbar import HbarPoly
 from .modules import (
     ModuleElement,
     ad_action,
-    is_whittaker,
     reduce_mod_b_left,
     reduce_mod_m_psi,
 )

@@ -1,9 +1,13 @@
 """Reduced representatives for tensor modules over the enveloping algebra.
 
 A rank-t module element represents a class in U ⊗ (C^N)^{⊗t} modulo the
-right action of the shifted nilpotent part: terms map (PBW monomial,
-slot tuple) pairs to hbar-polynomial coefficients, where the slot tuple
-lists basis indices of the t tensor factors.
+right action of the shifted nilpotent part.  Its terms map
+(PBW monomial, slot tuple, hbar-degree d) to a nonzero rational c, the
+term c * hbar^d * monomial ⊗ v_slots: c is an int where it is integral
+and a Fraction otherwise (see hbar._exact).  The slot tuple lists basis
+indices of the t tensor factors.  Only this module sees that format: the
+readers by_slots, coefficient_at and sorted_terms gather the degrees
+back into HbarPoly coefficients, and embed and from_json spread them.
 
 The right action of xi on u ⊗ v is  u*xi ⊗ v - hbar * u ⊗ (xi.v), and in
 the quotient a trailing m-factor rewrites as
@@ -22,7 +26,9 @@ monomial lies in b·U exactly when its leftmost factor is in b.
 Fusion concatenates two reduced elements: every U-factor of the right
 element is transported through the left element's slots generator by
 generator (in the right factor's own PBW order, left to right), the slot
-tuples are concatenated, and the result is reduced again.
+tuples are concatenated, and the result is reduced again.  Within one
+fusion a word is transported from its longest already-transported
+prefix.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .algebra import (
     gen_code,
     gen_ij,
 )
-from .hbar import HbarPoly
+from .hbar import HbarPoly, _exact
 from .pyramid import CharacterPsi, Pyramid
 
 REDUCTION_STEP_BUDGET = 10_000_000
@@ -48,8 +54,40 @@ class ReductionError(Exception):
     """Non-termination guard tripped or structural misuse."""
 
 
+def _spread(polys) -> dict:
+    """{(mono, slots, d): c} from pairs ((mono, slots), HbarPoly)."""
+    return {
+        (m, s, d): c
+        for (m, s), poly in polys
+        for d, c in enumerate(poly.coeffs)
+        if c
+    }
+
+
+def _gather(terms) -> dict:
+    """{(mono, slots): HbarPoly} from degree-keyed items ((mono, slots, d), c)."""
+    spread: dict = {}
+    for (m, s, d), c in terms:
+        spread.setdefault((m, s), {})[d] = c
+    out = {}
+    for key, by_degree in spread.items():
+        coeffs = [0] * (max(by_degree) + 1)
+        for d, c in by_degree.items():
+            coeffs[d] = c
+        out[key] = HbarPoly(coeffs)
+    return out
+
+
+def _exact_terms(terms: dict) -> dict:
+    """terms with every integral coefficient held as an int."""
+    if set(map(type, terms.values())) <= {int}:
+        return terms
+    return {k: _exact(c) for k, c in terms.items()}
+
+
 class ModuleElement(TermMap):
-    """An element of U ⊗ (C^N)^{⊗t} / m^psi in reduced form."""
+    """An element of U ⊗ (C^N)^{⊗t} / m^psi in reduced form, with terms
+    {(monomial, slots, hbar-degree): nonzero rational}."""
 
     __slots__ = ("pyramid", "order", "t", "terms")
 
@@ -57,20 +95,20 @@ class ModuleElement(TermMap):
         self.pyramid = pyramid
         self.order = order or pyramid.default_order()
         self.t = t
-        self.terms = terms
+        self.terms = _exact_terms(terms)
 
     # ------------------------------------------------------------------
     @classmethod
     def basis_vector(cls, pyramid: Pyramid, k: int) -> "ModuleElement":
         if not 1 <= k <= pyramid.N:
             raise AlgebraError("slot index %d out of range" % k)
-        return cls(pyramid, 1, {((), (k,)): hb.ONE})
+        return cls(pyramid, 1, {((), (k,), 0): 1})
 
     @classmethod
     def embed(cls, el: AlgebraElement, pyramid: Pyramid, slots=()) -> "ModuleElement":
         """u -> u ⊗ v_slots, unreduced."""
         slots = tuple(slots)
-        terms = {(m, slots): c for m, c in el.terms.items()}
+        terms = _spread(((m, slots), c) for m, c in el.terms.items())
         return cls(pyramid, len(slots), terms, order=el.order)
 
     @classmethod
@@ -98,32 +136,47 @@ class ModuleElement(TermMap):
     def _with(self, terms: dict) -> "ModuleElement":
         return ModuleElement(self.pyramid, self.t, terms, self.order)
 
+    def scale(self, q) -> "ModuleElement":
+        """Multiply by a rational or HbarPoly scalar."""
+        poly = q if isinstance(q, HbarPoly) else HbarPoly.const(q)
+        out: dict = {}
+        for (m, s, d), c in self.terms.items():
+            for e, r in enumerate(poly.coeffs):
+                if r:
+                    add_term(out, (m, s, d + e), c * r)
+        return self._with(out)
+
+    def keep(self, pred) -> "ModuleElement":
+        """The terms whose monomial satisfies pred."""
+        return self._with({k: c for k, c in self.terms.items() if pred(k[0])})
+
     def coefficient_at(self, slots) -> AlgebraElement:
         """The U-factor multiplying the given slot tuple (a full scan; use
         by_slots to visit every slot tuple)."""
         slots = tuple(slots)
-        out = {m: c for (m, s), c in self.terms.items() if s == slots}
-        return AlgebraElement(self.order, out)
+        polys = _gather(item for item in self.terms.items() if item[0][1] == slots)
+        return AlgebraElement(self.order, {m: c for (m, _), c in polys.items()})
 
     def by_slots(self) -> dict:
         """{slot tuple: U-factor} over the slot support, keys sorted,
         built in one pass over the terms."""
         groups: dict = {}
-        for (m, s), c in self.terms.items():
+        for (m, s), c in _gather(self.terms.items()).items():
             groups.setdefault(s, {})[m] = c
         return {s: AlgebraElement(self.order, groups[s]) for s in sorted(groups)}
 
     def slot_support(self):
-        return sorted({s for (_, s) in self.terms})
+        return sorted({s for (_, s, _) in self.terms})
 
     def sorted_terms(self):
+        """[((monomial, slots), HbarPoly)] in a deterministic order."""
         ranks = self.order.ranks
 
         def key(item):
             (m, s), _ = item
             return (s, sum(e for _, e in m), tuple((ranks[g], e) for g, e in m))
 
-        return sorted(self.terms.items(), key=key)
+        return sorted(_gather(self.terms.items()).items(), key=key)
 
     # ------------------------------------------------------------------
     # serialization: {"N":…, "t":…, "terms":[{"mono":…, "slots":…, "coeff":…}]}
@@ -146,12 +199,11 @@ class ModuleElement(TermMap):
         if data["N"] != pyramid.N:
             raise AlgebraError("JSON rank mismatch")
         order = pyramid.default_order()
-        terms = {}
+        polys = {}
         for t in data["terms"]:
             mono = tuple((gen_code(pyramid.N, i, j), e) for i, j, e in t["mono"])
-            key = (mono, tuple(t["slots"]))
-            terms[key] = HbarPoly.from_json(t["coeff"])
-        return cls(pyramid, data["t"], {k: c for k, c in terms.items() if not c.is_zero()}, order)
+            polys[(mono, tuple(t["slots"]))] = HbarPoly.from_json(t["coeff"])
+        return cls(pyramid, data["t"], _spread(polys.items()), order)
 
     def __repr__(self):
         from .render import render_module
@@ -169,8 +221,11 @@ def reduce_mod_m_psi(
 
     strategy picks which pending term is peeled next ("stack": most
     recently produced; "sorted": smallest key); the rewrite is confluent,
-    so the result must not depend on it.
+    so the result must not depend on it.  Any other strategy raises
+    ValueError.
     """
+    if strategy not in ("stack", "sorted"):
+        raise ValueError("unknown reduction strategy %r" % (strategy,))
     p = raw.pyramid
     psi = psi or p.psi()
     m_codes = p.m_codes()
@@ -183,28 +238,27 @@ def reduce_mod_m_psi(
         if steps > REDUCTION_STEP_BUDGET:
             raise ReductionError("reduction step budget exceeded; rewrite engine broken?")
         if strategy == "stack":
-            (mono, slots), c = pending.popitem()
+            key, c = pending.popitem()
         else:
             key = min(pending)
-            mono, slots = key
             c = pending.pop(key)
+        mono, slots, d = key
         if not mono or mono[-1][0] not in m_codes:
             if any(g in m_codes for g, _ in mono):
                 raise ReductionError(
                     "monomial has an interior m-factor; order is not m-last"
                 )
-            add_term(done, (mono, slots), c)
+            add_term(done, key, c)
             continue
         g, e = mono[-1]
         u = mono[:-1] + ((g, e - 1),) if e > 1 else mono[:-1]
         i, j = gen_ij(N, g)
         val = psi(i, j)
         if val:
-            add_term(pending, (u, slots), c.scale(val))
-        ch = c.shift(1)
+            add_term(pending, (u, slots, d), c * val)
         for a, k in enumerate(slots):
             if k == j:
-                add_term(pending, (u, slots[:a] + (i,) + slots[a + 1 :]), ch)
+                add_term(pending, (u, slots[:a] + (i,) + slots[a + 1 :], d + 1), c)
     return ModuleElement(p, raw.t, done, raw.order)
 
 
@@ -213,11 +267,12 @@ def act_left(xi: AlgebraElement, m: ModuleElement) -> ModuleElement:
     if xi.N != m.N:
         raise AlgebraError("mismatched N")
     out: dict = {}
-    for (um, slots), c in m.terms.items():
+    for (um, slots, d), c in m.terms.items():
         for xm, xc in xi.terms.items():
-            cc = xc * c
-            for mono, pc in _mono_product(m.order, xm, um).items():
-                add_term(out, (mono, slots), pc * cc)
+            for mono, poly in _mono_product(m.order, xm, um).items():
+                for e, q in enumerate((poly * xc).coeffs):
+                    if q:
+                        add_term(out, (mono, slots, d + e), q * c)
     return reduce_mod_m_psi(ModuleElement(m.pyramid, m.t, out, m.order))
 
 
@@ -231,17 +286,19 @@ def ad_action(xi_ij, m: ModuleElement) -> ModuleElement:
     xi = AlgebraElement.generator(m.order, i, j)
     bracket_cache: dict = {}
     out: dict = {}
-    for (um, slots), c in m.terms.items():
+    for (um, slots, d), c in m.terms.items():
         br = bracket_cache.get(um)
         if br is None:
             u_el = AlgebraElement(m.order, {um: hb.ONE})
             br = xi.commutator(u_el)
             bracket_cache[um] = br
-        for mono, pc in br.terms.items():
-            add_term(out, (mono, slots), pc * c)
+        for mono, poly in br.terms.items():
+            for e, q in enumerate(poly.coeffs):
+                if q:
+                    add_term(out, (mono, slots, d + e), q * c)
         for a, k in enumerate(slots):
             if k == j:
-                add_term(out, (um, slots[:a] + (i,) + slots[a + 1 :]), c)
+                add_term(out, (um, slots[:a] + (i,) + slots[a + 1 :], d), c)
     return reduce_mod_m_psi(ModuleElement(p, m.t, out, m.order))
 
 
@@ -274,12 +331,7 @@ def reduce_mod_b_left(m: ModuleElement) -> ModuleElement:
     if m.order != p.default_order():
         raise ReductionError("left b-quotient needs the canonical generator order")
     b_codes = p.b_codes()
-    out = {
-        (mono, slots): c
-        for (mono, slots), c in m.terms.items()
-        if not (mono and mono[0][0] in b_codes)
-    }
-    return ModuleElement(p, m.t, out, m.order)
+    return m.keep(lambda mono: not (mono and mono[0][0] in b_codes))
 
 
 def b_reduction_is_zero(x: AlgebraElement, p: Pyramid) -> bool:
@@ -294,17 +346,19 @@ def b_reduction_is_zero(x: AlgebraElement, p: Pyramid) -> bool:
 def right_mul_gen(m: ModuleElement, g: int) -> ModuleElement:
     """The right action of a single generator: u*g ⊗ v - hbar u ⊗ (g.v)."""
     N = m.N
+    order = m.order
     i, j = gen_ij(N, g)
     gm = ((g, 1),)
     out: dict = {}
-    for (um, slots), c in m.terms.items():
-        for mono, pc in _mono_product(m.order, um, gm).items():
-            add_term(out, (mono, slots), pc * c)
-        ch = c.shift(1)
+    for (um, slots, d), c in m.terms.items():
+        for mono, poly in _mono_product(order, um, gm).items():
+            for e, q in enumerate(poly.coeffs):
+                if q:
+                    add_term(out, (mono, slots, d + e), q * c)
         for a, k in enumerate(slots):
             if k == j:
-                add_term(out, (um, slots[:a] + (i,) + slots[a + 1 :]), ch.scale(-1))
-    return ModuleElement(m.pyramid, m.t, out, m.order)
+                add_term(out, (um, slots[:a] + (i,) + slots[a + 1 :], d + 1), -c)
+    return ModuleElement(m.pyramid, m.t, out, order)
 
 
 def transport(m: ModuleElement, word) -> ModuleElement:
@@ -319,23 +373,29 @@ def fuse(a: ModuleElement, b: ModuleElement) -> ModuleElement:
     """The product [x] ⊗ [y] -> [x·y] on reduced representatives.
 
     Each right term's U-monomial is transported through the left factor's
-    slots in its own PBW order; slot tuples concatenate; the total is
+    slots in its own PBW order, starting from the longest prefix already
+    transported in this call; slot tuples concatenate; the total is
     reduced once at the end.
     """
     if a.pyramid != b.pyramid or a.order != b.order:
         raise AlgebraError("fuse needs a common pyramid and order")
     p = a.pyramid
-    t_out = a.t + b.t
     out: dict = {}
-    transported: dict = {}
-    for (ym, yslots), yc in b.terms.items():
-        moved = transported.get(ym)
+    moved_by = {(): a}  # word -> a right-acted by word, for this call only
+    for (ym, yslots, yd), yc in b.terms.items():
+        word = _mono_to_word(ym)
+        moved = moved_by.get(word)
         if moved is None:
-            moved = transport(a, _mono_to_word(ym))
-            transported[ym] = moved
-        for (um, uslots), uc in moved.terms.items():
-            add_term(out, (um, uslots + yslots), uc * yc)
-    return reduce_mod_m_psi(ModuleElement(p, t_out, out, a.order))
+            n = len(word) - 1
+            while word[:n] not in moved_by:
+                n -= 1
+            moved = moved_by[word[:n]]
+            for k in range(n, len(word)):
+                moved = right_mul_gen(moved, word[k])
+                moved_by[word[: k + 1]] = moved
+        for (um, uslots, ud), uc in moved.terms.items():
+            add_term(out, (um, uslots + yslots, ud + yd), uc * yc)
+    return reduce_mod_m_psi(ModuleElement(p, a.t + b.t, out, a.order))
 
 
 def right_act(m: ModuleElement, c: AlgebraElement) -> ModuleElement:

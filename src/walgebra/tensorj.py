@@ -40,21 +40,9 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, add_term, gen_ij
 from .geometry import jc_closed_form
-from .modules import (
-    ModuleElement,
-    b_reduction_is_zero,
-    fuse,
-    is_whittaker,
-    right_act,
-)
+from .modules import b_reduction_is_zero, fuse, right_act
 from .pyramid import Pyramid
-from .whittaker import (
-    WhittakerBasis,
-    WhittakerError,
-    asymptotic_parts,
-    canonical_basis,
-    l_constant_part,
-)
+from .whittaker import WhittakerBasis, asymptotic_parts, canonical_basis, in_l
 
 _GAUSS_PASS_BOUND = 64
 
@@ -104,6 +92,7 @@ def compute_J(N: int, basis: WhittakerBasis | None = None) -> JMatrix:
     p = basis.pyramid
     order = p.default_order()
     one = AlgebraElement.one(order)
+    l_only = in_l(p)
     pair_gens: dict = {}
     entries: dict = {}
     for j in range(N, 0, -1):
@@ -111,14 +100,11 @@ def compute_J(N: int, basis: WhittakerBasis | None = None) -> JMatrix:
             F = fuse(basis.vector(i), basis.vector(j))
             acc: dict = {}
             for _ in range(_GAUSS_PASS_BOUND):
-                coeffs = F.by_slots()
-                obstructions = []
-                for slots, x in coeffs.items():
-                    if slots == (i, j):
-                        continue
-                    c = l_constant_part(x, p)
-                    if not c.is_zero():
-                        obstructions.append((slots, c))
+                obstructions = [
+                    (slots, c)
+                    for slots, c in F.keep(l_only).by_slots().items()
+                    if slots != (i, j)
+                ]
                 if not obstructions:
                     break
                 for (a, l), c in obstructions:
@@ -131,7 +117,7 @@ def compute_J(N: int, basis: WhittakerBasis | None = None) -> JMatrix:
                     add_term(acc, (a, l), c)
             else:
                 raise TensorJError("Gaussian pass bound exceeded at pair %r" % ((i, j),))
-            # coeffs is the slot decomposition of the final F
+            coeffs = F.by_slots()
             if coeffs.get((i, j)) != one:
                 raise TensorJError("pair generator %r lost its unit leading term" % ((i, j),))
             for slots, x in coeffs.items():

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import hbar as hb
 from .algebra import AlgebraElement, GeneratorOrder, gen_code, gen_ij
 from .bk import truncated_t
 from .hbar import HbarPoly
@@ -47,11 +46,17 @@ class WhittakerError(Exception):
 # ----------------------------------------------------------------------
 # filtered parts relative to l = span(E_21, E_11)
 # ----------------------------------------------------------------------
+def in_l(p: Pyramid):
+    """The predicate on PBW monomials: uses only E_21 and E_11 (the unit
+    included), i.e. lies in U(l)."""
+    l_codes = set(p.l_codes())
+    return lambda m: all(g in l_codes for g, _ in m)
+
+
 def l_constant_part(x: AlgebraElement, p: Pyramid) -> AlgebraElement:
     """Terms whose monomials use only E_21 and E_11 (including the unit)."""
-    l_codes = set(p.l_codes())
-    out = {m: c for m, c in x.terms.items() if all(g in l_codes for g, _ in m)}
-    return AlgebraElement(x.order, out)
+    keep = in_l(p)
+    return AlgebraElement(x.order, {m: c for m, c in x.terms.items() if keep(m)})
 
 
 def asymptotic_parts(x: AlgebraElement, p: Pyramid):
@@ -245,18 +250,15 @@ def canonicalize(basis: WhittakerBasis) -> WhittakerBasis:
         return basis
     p = basis.pyramid
     N = p.N
+    l_only = in_l(p)
     out: dict = {}
     log: list = []
     for leading in range(N, 0, -1):
         vec = basis.vectors[leading]
         for _ in range(_CANONICALIZE_PASS_BOUND):
-            corrections = []
-            for (q,), x in vec.by_slots().items():
-                if q <= leading:
-                    continue
-                c = l_constant_part(x, p)
-                if not c.is_zero():
-                    corrections.append((q, c))
+            corrections = [
+                (q, c) for (q,), c in vec.keep(l_only).by_slots().items() if q > leading
+            ]
             if not corrections:
                 break
             for q, c in corrections:

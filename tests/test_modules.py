@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,8 +16,10 @@ from walgebra.modules import (
     reduce_mod_b_left,
     reduce_mod_m_psi,
     right_act,
+    transport,
 )
 from walgebra.pyramid import Pyramid
+from walgebra.whittaker import canonical_basis
 
 
 def E(order, i, j):
@@ -88,6 +91,11 @@ def test_reduce_strategy_independent():
         assert reduce_mod_m_psi(raw, strategy="stack") == reduce_mod_m_psi(
             raw, strategy="sorted"
         )
+
+
+def test_reduce_rejects_unknown_strategy(sub3):
+    with pytest.raises(ValueError):
+        reduce_mod_m_psi(ModuleElement.basis_vector(sub3, 1), strategy="lifo")
 
 
 def test_act_left_unit_and_module_axiom(sub3):
@@ -166,7 +174,7 @@ def test_b_reduction(sub3):
     allowed = set(sub3.l_codes()) | {
         (i - 1) * 3 + (3 - 1) for i in range(1, 4)
     }
-    for (mono, _), _c in red.terms.items():
+    for (mono, _, _), _c in red.terms.items():
         for g, _ in mono:
             assert g in allowed
 
@@ -197,7 +205,7 @@ def test_b_deletion_preserves_m_reducedness(sub3):
         m = embed_and_reduce(sub3, x, (rng.randint(1, 3),))
         red = reduce_mod_b_left(m)
         m_codes = sub3.m_codes()
-        for (mono, _), _c in red.terms.items():
+        for (mono, _, _), _c in red.terms.items():
             assert all(g not in m_codes for g, _ in mono)
 
 
@@ -206,7 +214,7 @@ def test_fuse_trivial(sub3):
     vj = ModuleElement.basis_vector(sub3, 2)
     out = fuse(vi, vj)
     assert out.t == 2
-    assert out.terms == {((), (1, 2)): HbarPoly((1,))}
+    assert out.terms == {((), (1, 2), 0): 1}
 
 
 def test_fuse_transport_rule(sub3):
@@ -221,8 +229,8 @@ def test_fuse_transport_rule(sub3):
         sub3,
         2,
         {
-            (tuple(e12.terms.keys())[0][0], (2, 3)): HbarPoly((1,)),
-            ((), (1, 3)): HbarPoly((0, -1)),
+            (tuple(e12.terms.keys())[0][0], (2, 3), 0): 1,
+            ((), (1, 3), 1): -1,
         },
     )
     assert out == expected
@@ -255,3 +263,69 @@ def test_module_json_round_trip(sub3):
     m = embed_and_reduce(sub3, E(o, 1, 2) * E(o, 2, 1) + H(o, 2, 3), (2,))
     data = m.to_json()
     assert ModuleElement.from_json(data, sub3) == m
+
+
+def test_coefficient_spread_over_two_degrees(sub3):
+    # (1 + hbar) ⊗ v1 is stored as one term per hbar-degree
+    one_plus_hbar = HbarPoly((1, 1))
+    m = ModuleElement.basis_vector(sub3, 1).scale(one_plus_hbar)
+    assert m.terms == {((), (1,), 0): 1, ((), (1,), 1): 1}
+    data = m.to_json()
+    assert data["terms"] == [{"mono": [], "slots": [1], "coeff": ["1/1", "1/1"]}]
+    assert ModuleElement.from_json(data, sub3) == m
+    expected = AlgebraElement.scalar(sub3.default_order(), one_plus_hbar)
+    assert m.coefficient_at((1,)) == expected
+    assert m.by_slots() == {(1,): expected}
+
+
+def test_module_coefficients_stay_exact(sub3):
+    v = ModuleElement.basis_vector(sub3, 2)
+    half = v.scale(Fraction(1, 2))
+    assert half.terms == {((), (2,), 0): Fraction(1, 2)}
+    assert type(half.terms[((), (2,), 0)]) is Fraction
+    # an integral result is held as an int again
+    for whole in (half + half, half.scale(2)):
+        assert whole == v
+        assert type(whole.terms[((), (2,), 0)]) is int
+    # cancelling terms drop their key, one hbar-degree at a time
+    assert (half - half).terms == {}
+    assert (v.scale(HbarPoly((1, 1))) - v).terms == {((), (2,), 1): 1}
+
+
+def _fuse_reference(a, b):
+    """fuse(a, b) assembled from the public transport, one right term at a
+    time, with no sharing between words, then reduced."""
+    p, order = a.pyramid, a.order
+    total = ModuleElement.zero(p, a.t + b.t)
+    for (ym, yslots), yc in b.sorted_terms():
+        moved = transport(a, [g for g, e in ym for _ in range(e)])
+        for (um, uslots), uc in moved.sorted_terms():
+            lifted = AlgebraElement(order, {um: uc * yc})
+            total = total + ModuleElement.embed(lifted, p, uslots + yslots)
+    return reduce_mod_m_psi(total)
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_fuse_matches_unshared_transport(N):
+    p = Pyramid.subregular(N)
+    o = p.default_order()
+    rng = random.Random(100 + N)
+    coeffs = (HbarPoly((1,)), HbarPoly((-2,)), HbarPoly((0, 3)), HbarPoly((1, -1)),
+              HbarPoly((Fraction(1, 2),)))
+
+    def random_element(rank):
+        x = AlgebraElement.zero(o)
+        for _ in range(rng.randint(1, 3)):
+            term = AlgebraElement.scalar(o, rng.choice(coeffs))
+            for _ in range(rng.randint(0, 3)):
+                term = term * E(o, rng.randint(1, N), rng.randint(1, N))
+            x = x + term
+        slots = tuple(rng.randint(1, N) for _ in range(rank))
+        return reduce_mod_m_psi(ModuleElement.embed(x, p, slots))
+
+    pairs = [(random_element(rng.randint(1, 2)), random_element(rng.randint(0, 1)))
+             for _ in range(12)]
+    basis = canonical_basis(N)
+    pairs += [(basis.vector(i), basis.vector(j)) for i, j in ((1, 1), (2, 1), (N, 2))]
+    for a, b in pairs:
+        assert fuse(a, b) == _fuse_reference(a, b)

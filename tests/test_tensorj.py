@@ -36,6 +36,11 @@ def J5():
     return compute_J(5)
 
 
+@pytest.fixture(scope="module")
+def J6():
+    return compute_J(6)
+
+
 def test_j3_hand_values(J3):
     # exactly two off-identity entries, both equal to hbar
     p = Pyramid.subregular(3)
@@ -75,7 +80,7 @@ def test_fuse_with_plain_top_vector_is_slot_append():
             expected = ModuleElement(
                 p,
                 2,
-                {(m, s + (N,)): c for (m, s), c in vec.terms.items()},
+                {(m, s + (N,), d): c for (m, s, d), c in vec.terms.items()},
             )
             assert out == expected
 
@@ -179,8 +184,7 @@ def test_column_twist_relates_closed_form_conventions():
         assert _column_twist(_dynamical_part(statement)) == _dynamical_part(positive)
 
 
-def test_semiclassical_n6_is_jc_plus_twisted_statement():
-    J6 = compute_J(6)
+def test_semiclassical_n6_is_jc_plus_twisted_statement(J6):
     limit = semiclassical_limit(J6)
     printed = semiclassical_closed_form(6, "statement")
     assert limit.constant_part() == printed.constant_part()
@@ -286,10 +290,23 @@ def test_j5_golden_digests(J5):
     )
 
 
+def test_j6_golden_digests(J6):
+    # recorded at commit 66d3734, before module terms were keyed by hbar-degree
+    assert _digest(J6.to_json()) == (
+        "b2ee239f019badf1491ea095e3d71160d946014b2bfd7806ae47d9d3421a279e"
+    )
+    pairs = {"%d,%d" % k: v.to_json() for k, v in sorted(J6.pair_generators.items())}
+    assert _digest(pairs) == (
+        "fd64b00458f237583a9e64ddaa43583d5bf9860190921864be78d07cd119904e"
+    )
+
+
 def test_j5_coefficients_are_ints(J5):
     # nothing in the construction of J divides
-    elements = list(J5.entries.values()) + list(J5.pair_generators.values())
-    assert elements
-    for x in elements:
+    assert J5.entries and J5.pair_generators
+    for x in J5.entries.values():
         for poly in x.terms.values():
             assert all(type(c) is int for c in poly.coeffs), poly
+    for vec in J5.pair_generators.values():
+        for key, c in vec.terms.items():
+            assert type(c) is int, (key, c)

@@ -117,7 +117,7 @@ def test_b_quotient_images_of_generators():
     assert img_t22 == expected
     # surviving generators sit in l or the last matrix column
     allowed = set(p.l_codes()) | {(i - 1) * 3 + 2 for i in range(1, 4)}
-    for (mono, _), _c in img_t22.terms.items():
+    for (mono, _, _), _c in img_t22.terms.items():
         assert all(g in allowed for g, _ in mono)
 
 
