@@ -3,13 +3,22 @@ import json
 
 import pytest
 
-from walgebra.algebra import AlgebraElement
+from walgebra.algebra import AlgebraElement, add_term
 from walgebra.hbar import HbarPoly
-from walgebra.modules import fuse, is_whittaker
+from walgebra.modules import (
+    ModuleElement,
+    b_reduction_is_zero,
+    fuse,
+    is_whittaker,
+    reduce_mod_b_left,
+    right_act,
+)
 from walgebra.pyramid import Pyramid
 from walgebra.tensorj import (
+    _GAUSS_PASS_BOUND,
     JMatrix,
     SemiclassicalJ,
+    TensorJError,
     compare_semiclassical,
     compute_J,
     fuse_power_J,
@@ -18,7 +27,47 @@ from walgebra.tensorj import (
     semiclassical_from_asymptotics,
     semiclassical_limit,
 )
-from walgebra.whittaker import canonical_basis
+from walgebra.whittaker import canonical_basis, in_l
+
+
+def _canonical_pair_generators(N, basis):
+    """Oracle: the Gaussian construction on full representatives.
+
+    Returns (entries, pair generators): the entries of J - id and the full
+    canonical pair generators g_ij = 1 ⊗ v_i ⊗ v_j + (terms in b·U at
+    other slots), which compute_J holds only modulo b."""
+    p = basis.pyramid
+    one = AlgebraElement.one(p.default_order())
+    l_only = in_l(p)
+    pair_gens = {}
+    entries = {}
+    for j in range(N, 0, -1):
+        for i in range(N, 0, -1):
+            F = fuse(basis.vector(i), basis.vector(j))
+            acc = {}
+            for _ in range(_GAUSS_PASS_BOUND):
+                obstructions = [
+                    (slots, c)
+                    for slots, c in F.keep(l_only).by_slots().items()
+                    if slots != (i, j)
+                ]
+                if not obstructions:
+                    break
+                for (a, l), c in obstructions:
+                    assert l > j, ("not upper-triangular", (a, l), (i, j))
+                    F = F - right_act(pair_gens[(a, l)], c)
+                    add_term(acc, (a, l), c)
+            else:
+                raise AssertionError("Gaussian pass bound exceeded at pair %r" % ((i, j),))
+            coeffs = F.by_slots()
+            assert coeffs.get((i, j)) == one, ("unit leading term lost", (i, j))
+            for slots, x in coeffs.items():
+                if slots != (i, j):
+                    assert b_reduction_is_zero(x, p), ("residual not in b·U", slots, (i, j))
+            pair_gens[(i, j)] = F
+            for key, c in acc.items():
+                entries[(key, (i, j))] = c
+    return entries, pair_gens
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +90,23 @@ def J6():
     return compute_J(6)
 
 
+@pytest.fixture(scope="module")
+def J7():
+    return compute_J(7)
+
+
+@pytest.fixture(scope="module")
+def J8():
+    return compute_J(8)
+
+
+@pytest.fixture(scope="module")
+def oracle(J3, J4, J5, J6):
+    """{N: (entries, full pair generators)} of the oracle, on the bases of
+    the J fixtures."""
+    return {J.N: _canonical_pair_generators(J.N, J.basis) for J in (J3, J4, J5, J6)}
+
+
 def test_j3_hand_values(J3):
     # exactly two off-identity entries, both equal to hbar
     p = Pyramid.subregular(3)
@@ -58,18 +124,43 @@ def test_j_structure(J3, J4):
         assert rep["ok"], rep["violations"]
 
 
-def test_pair_generators_are_whittaker(J3, J4):
+def test_pair_generators_are_whittaker(J3, J4, oracle):
     for J in (J3, J4):
         p = J.pyramid
-        for (i, j), vec in J.pair_generators.items():
+        for (i, j), vec in oracle[J.N][1].items():
             ok, xi, _ = is_whittaker(vec, p)
             assert ok, ((i, j), xi)
 
 
+def test_oracle_entries_equal_quotient_entries(J3, J4, J5, J6, oracle):
+    for J in (J3, J4, J5, J6):
+        assert oracle[J.N][0] == J.entries
+
+
+def test_oracle_pair_generators_reduce_to_unit_pairs(J3, J4, J5, J6, oracle):
+    # pi(g_ij) = 1 ⊗ v_i ⊗ v_j, which is what compute_J holds
+    for J in (J3, J4, J5, J6):
+        p = J.pyramid
+        gens = oracle[J.N][1]
+        assert set(gens) == set(J.pair_generators)
+        for (i, j), g in gens.items():
+            unit = ModuleElement(p, 2, {((), (i, j), 0): 1})
+            assert reduce_mod_b_left(g) == unit, (J.N, (i, j))
+            assert J.pair_generators[(i, j)] == unit, (J.N, (i, j))
+
+
+def test_wrong_rank_input_is_rejected(J3):
+    basis4 = canonical_basis(4)
+    with pytest.raises(TensorJError):
+        compute_J(3, basis4)
+    with pytest.raises(TensorJError):
+        semiclassical_from_asymptotics(3, basis4)
+    with pytest.raises(TensorJError):
+        compare_semiclassical(4, J3)
+
+
 def test_fuse_with_plain_top_vector_is_slot_append():
     # a right factor with trivial U-part transports trivially
-    from walgebra.modules import ModuleElement
-
     for N in (3, 4):
         basis = canonical_basis(N)
         p = basis.pyramid
@@ -193,6 +284,15 @@ def test_semiclassical_n6_is_jc_plus_twisted_statement(J6):
     assert limit == semiclassical_from_asymptotics(6, J6.basis)
 
 
+def test_semiclassical_n7_n8_is_jc_plus_positive(J7, J8):
+    # criterion-8 evidence beyond the criterion's own N range
+    for J in (J7, J8):
+        limit = semiclassical_limit(J)
+        assert limit.constant_part() == semiclassical_closed_form(J.N, "statement").constant_part()
+        assert limit == semiclassical_from_asymptotics(J.N, J.basis)
+        assert limit == semiclassical_closed_form(J.N, "positive")
+
+
 def test_asymptotic_recomputation_agrees(J3, J4):
     for J in (J3, J4):
         assert semiclassical_from_asymptotics(J.N, J.basis) == semiclassical_limit(J)
@@ -219,9 +319,6 @@ def test_n5_printed_signs_refuted_by_gaussian_residual():
     # fusion of v_2 with itself by the *printed* (statement-signed) first
     # order leaves an l-constant obstruction at first order, while the
     # computed first order clears it
-    from walgebra.algebra import AlgebraElement
-    from walgebra.hbar import HbarPoly
-    from walgebra.modules import right_act
     from walgebra.whittaker import l_constant_part
 
     J = compute_J(5)
@@ -279,34 +376,46 @@ def _digest(data):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_j5_golden_digests(J5):
+def test_j5_golden_digests(J5, oracle):
     # recorded at commit 2dd3fda, when every coefficient was a Fraction
     assert _digest(J5.to_json()) == (
         "d6f7e64d989220ffb2789d26dc0abd30fa657601ad762efb6bf7a648d3c578a1"
     )
-    pairs = {"%d,%d" % k: v.to_json() for k, v in sorted(J5.pair_generators.items())}
+    pairs = {"%d,%d" % k: v.to_json() for k, v in sorted(oracle[5][1].items())}
     assert _digest(pairs) == (
         "af2554248a31925f3aa6611e8b9893985432da0b90a14766cbfa280e350615c8"
     )
 
 
-def test_j6_golden_digests(J6):
+def test_j6_golden_digests(J6, oracle):
     # recorded at commit 66d3734, before module terms were keyed by hbar-degree
     assert _digest(J6.to_json()) == (
         "b2ee239f019badf1491ea095e3d71160d946014b2bfd7806ae47d9d3421a279e"
     )
-    pairs = {"%d,%d" % k: v.to_json() for k, v in sorted(J6.pair_generators.items())}
+    pairs = {"%d,%d" % k: v.to_json() for k, v in sorted(oracle[6][1].items())}
     assert _digest(pairs) == (
         "fd64b00458f237583a9e64ddaa43583d5bf9860190921864be78d07cd119904e"
     )
 
 
-def test_j5_coefficients_are_ints(J5):
+def test_j7_j8_golden_digests(J7, J8):
+    # confirmed at commit 97ceb49 on full pair generators, before J was
+    # computed in the left b-quotient
+    assert _digest(J7.to_json()) == (
+        "5dd1d359d413e0f74c664f3a446759eb980060ec2889022638bea39aa756361a"
+    )
+    assert _digest(J8.to_json()) == (
+        "e92cade8cbeafc8e9dacd8293fba862e638b8cceba864ad36a2dcbf563d892a8"
+    )
+
+
+def test_j5_coefficients_are_ints(J5, oracle):
     # nothing in the construction of J divides
-    assert J5.entries and J5.pair_generators
+    pair_gens = oracle[5][1]
+    assert J5.entries and pair_gens
     for x in J5.entries.values():
         for poly in x.terms.values():
             assert all(type(c) is int for c in poly.coeffs), poly
-    for vec in J5.pair_generators.values():
+    for vec in pair_gens.values():
         for key, c in vec.terms.items():
             assert type(c) is int, (key, c)
