@@ -11,8 +11,8 @@ Subcommands:
 Exit codes: 0 on success; 1 on hard verification failure or, under
 --strict, on any failed check or comparison mismatch; 2 on usage errors,
 which include input rejected before any computation: a bad pyramid
-literal or truncation, T-indices out of range, N < 2, and N < 3 for
-check-omega.
+literal or truncation, T-indices out of range, N < 2, N < 3 for
+check-omega, and selftest --cases < 1.
 """
 
 from __future__ import annotations
@@ -265,6 +265,8 @@ def _check_input(args) -> None:
     Pyramid.subregular(args.N)
     if args.command == "check-omega" and args.N < 3:
         raise GeometryError("check-omega needs N >= 3")
+    if args.command == "selftest" and args.cases < 1:
+        raise ValueError("--cases must be at least 1, got %d" % args.cases)
 
 
 def main(argv=None) -> int:

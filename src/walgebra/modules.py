@@ -9,6 +9,9 @@ indices of the t tensor factors.  Only this module sees that format: the
 readers by_slots, coefficient_at and sorted_terms gather the degrees
 back into HbarPoly coefficients, and embed and from_json spread them.
 
+The generator order is the pyramid's default_order(), never passed in: one
+interned pyramid per N, one pair cache, used by every product (_add_product).
+
 The right action of xi on u ⊗ v is  u*xi ⊗ v - hbar * u ⊗ (xi.v), and in
 the quotient a trailing m-factor rewrites as
 
@@ -33,7 +36,6 @@ prefix.
 
 from __future__ import annotations
 
-from . import hbar as hb
 from .algebra import (
     AlgebraElement,
     AlgebraError,
@@ -45,7 +47,7 @@ from .algebra import (
     gen_ij,
 )
 from .hbar import HbarPoly, _exact
-from .pyramid import CharacterPsi, Pyramid
+from .pyramid import Pyramid
 
 REDUCTION_STEP_BUDGET = 10_000_000
 
@@ -89,13 +91,16 @@ class ModuleElement(TermMap):
     """An element of U ⊗ (C^N)^{⊗t} / m^psi in reduced form, with terms
     {(monomial, slots, hbar-degree): nonzero rational}."""
 
-    __slots__ = ("pyramid", "order", "t", "terms")
+    __slots__ = ("pyramid", "t", "terms")
 
-    def __init__(self, pyramid: Pyramid, t: int, terms: dict, order=None):
+    def __init__(self, pyramid: Pyramid, t: int, terms: dict):
         self.pyramid = pyramid
-        self.order = order or pyramid.default_order()
         self.t = t
         self.terms = _exact_terms(terms)
+
+    @property
+    def order(self):
+        return self.pyramid.default_order()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -106,10 +111,12 @@ class ModuleElement(TermMap):
 
     @classmethod
     def embed(cls, el: AlgebraElement, pyramid: Pyramid, slots=()) -> "ModuleElement":
-        """u -> u ⊗ v_slots, unreduced."""
+        """u -> u ⊗ v_slots, unreduced; u must use the pyramid's order."""
+        if el.order != pyramid.default_order():
+            raise AlgebraError("%r is not the order of %r" % (el.order, pyramid))
         slots = tuple(slots)
         terms = _spread(((m, slots), c) for m, c in el.terms.items())
-        return cls(pyramid, len(slots), terms, order=el.order)
+        return cls(pyramid, len(slots), terms)
 
     @classmethod
     def zero(cls, pyramid: Pyramid, t: int) -> "ModuleElement":
@@ -130,11 +137,11 @@ class ModuleElement(TermMap):
         )
 
     def _check_compatible(self, other: "ModuleElement"):
-        if self.pyramid != other.pyramid or self.t != other.t or self.order != other.order:
+        if self.pyramid != other.pyramid or self.t != other.t:
             raise AlgebraError("module elements live over different ambient data")
 
     def _with(self, terms: dict) -> "ModuleElement":
-        return ModuleElement(self.pyramid, self.t, terms, self.order)
+        return ModuleElement(self.pyramid, self.t, terms)
 
     def scale(self, q) -> "ModuleElement":
         """Multiply by a rational or HbarPoly scalar."""
@@ -198,12 +205,11 @@ class ModuleElement(TermMap):
     def from_json(cls, data: dict, pyramid: Pyramid) -> "ModuleElement":
         if data["N"] != pyramid.N:
             raise AlgebraError("JSON rank mismatch")
-        order = pyramid.default_order()
         polys = {}
         for t in data["terms"]:
             mono = tuple((gen_code(pyramid.N, i, j), e) for i, j, e in t["mono"])
             polys[(mono, tuple(t["slots"]))] = HbarPoly.from_json(t["coeff"])
-        return cls(pyramid, data["t"], _spread(polys.items()), order)
+        return cls(pyramid, data["t"], _spread(polys.items()))
 
     def __repr__(self):
         from .render import render_module
@@ -214,9 +220,7 @@ class ModuleElement(TermMap):
 # ----------------------------------------------------------------------
 # reduction modulo the shifted m-action
 # ----------------------------------------------------------------------
-def reduce_mod_m_psi(
-    raw: ModuleElement, psi: CharacterPsi | None = None, strategy: str = "stack"
-) -> ModuleElement:
+def reduce_mod_m_psi(raw: ModuleElement, strategy: str = "stack") -> ModuleElement:
     """Rewrite to the reduced form with no m-generators in any monomial.
 
     strategy picks which pending term is peeled next ("stack": most
@@ -227,7 +231,7 @@ def reduce_mod_m_psi(
     if strategy not in ("stack", "sorted"):
         raise ValueError("unknown reduction strategy %r" % (strategy,))
     p = raw.pyramid
-    psi = psi or p.psi()
+    psi = p.psi()
     m_codes = p.m_codes()
     N = p.N
     pending = dict(raw.terms)
@@ -259,56 +263,61 @@ def reduce_mod_m_psi(
         for a, k in enumerate(slots):
             if k == j:
                 add_term(pending, (u, slots[:a] + (i,) + slots[a + 1 :], d + 1), c)
-    return ModuleElement(p, raw.t, done, raw.order)
+    return ModuleElement(p, raw.t, done)
+
+
+def _add_product(out: dict, order, ma, mb, slots, d: int, c) -> None:
+    """out += c * hbar^d * (ma·mb) ⊗ v_slots, ma·mb from the pair cache."""
+    for mono, poly in _mono_product(order, ma, mb).items():
+        for e, q in enumerate(poly.coeffs):
+            if q:
+                add_term(out, (mono, slots, d + e), q * c)
 
 
 def act_left(xi: AlgebraElement, m: ModuleElement) -> ModuleElement:
     """Left multiplication on the U-factor followed by reduction."""
     if xi.N != m.N:
         raise AlgebraError("mismatched N")
+    order = m.order
     out: dict = {}
     for (um, slots, d), c in m.terms.items():
         for xm, xc in xi.terms.items():
-            for mono, poly in _mono_product(m.order, xm, um).items():
-                for e, q in enumerate((poly * xc).coeffs):
-                    if q:
-                        add_term(out, (mono, slots, d + e), q * c)
-    return reduce_mod_m_psi(ModuleElement(m.pyramid, m.t, out, m.order))
+            for f, xq in enumerate(xc.coeffs):
+                if xq:
+                    _add_product(out, order, xm, um, slots, d + f, xq * c)
+    return reduce_mod_m_psi(ModuleElement(m.pyramid, m.t, out))
 
 
 def ad_action(xi_ij, m: ModuleElement) -> ModuleElement:
-    """Adjoint action of a single m-generator: commutator on the U-factor
-    plus the standard action on each slot, then reduction."""
+    """ad of an m-generator: (xi·u - u·xi)/hbar on each U-monomial u (a degree-0
+    term raises, as in commutator), the slot action, then reduction."""
     i, j = xi_ij
     p = m.pyramid
     if not p.in_m(i, j):
         raise AlgebraError("ad is defined here for m-generators only; E[%d,%d] is not in m" % (i, j))
-    xi = AlgebraElement.generator(m.order, i, j)
-    bracket_cache: dict = {}
+    order = m.order
+    xi = ((gen_code(p.N, i, j), 1),)
     out: dict = {}
     for (um, slots, d), c in m.terms.items():
-        br = bracket_cache.get(um)
-        if br is None:
-            u_el = AlgebraElement(m.order, {um: hb.ONE})
-            br = xi.commutator(u_el)
-            bracket_cache[um] = br
-        for mono, poly in br.terms.items():
-            for e, q in enumerate(poly.coeffs):
-                if q:
-                    add_term(out, (mono, slots, d + e), q * c)
+        br: dict = {}
+        _add_product(br, order, xi, um, slots, d - 1, c)
+        _add_product(br, order, um, xi, slots, d - 1, -c)
+        for key, q in br.items():
+            if key[2] < d:
+                raise AlgebraError("xi*u - u*xi not divisible by hbar at %r" % (um,))
+            add_term(out, key, q)
         for a, k in enumerate(slots):
             if k == j:
                 add_term(out, (um, slots[:a] + (i,) + slots[a + 1 :], d), c)
-    return reduce_mod_m_psi(ModuleElement(p, m.t, out, m.order))
+    return reduce_mod_m_psi(ModuleElement(p, m.t, out))
 
 
-def is_whittaker(m: ModuleElement, pyramid: Pyramid | None = None):
+def is_whittaker(m: ModuleElement):
     """Check invariance under the shifted m-action.
 
     Returns (True, None, None) or (False, offending (i,j), residue).
     """
-    p = pyramid or m.pyramid
-    for (i, j) in p.m_basis():
+    for (i, j) in m.pyramid.m_basis():
         res = ad_action((i, j), m)
         if not res.is_zero():
             return False, (i, j), res
@@ -321,15 +330,13 @@ def is_whittaker(m: ModuleElement, pyramid: Pyramid | None = None):
 def reduce_mod_b_left(m: ModuleElement) -> ModuleElement:
     """Delete every term whose monomial starts with a b-generator.
 
-    Requires the subregular pyramid with its canonical order, where the
-    b-generators rank first; surviving monomials then use only the
-    generators of l and of the last matrix column.
+    Requires the subregular pyramid, whose order ranks the b-generators
+    first; surviving monomials then use only the generators of l and of
+    the last matrix column.
     """
     p = m.pyramid
     if not p.is_subregular():
         raise ReductionError("left b-quotient is supported for subregular pyramids only")
-    if m.order != p.default_order():
-        raise ReductionError("left b-quotient needs the canonical generator order")
     b_codes = p.b_codes()
     return m.keep(lambda mono: not (mono and mono[0][0] in b_codes))
 
@@ -345,20 +352,16 @@ def b_reduction_is_zero(x: AlgebraElement, p: Pyramid) -> bool:
 # ----------------------------------------------------------------------
 def right_mul_gen(m: ModuleElement, g: int) -> ModuleElement:
     """The right action of a single generator: u*g ⊗ v - hbar u ⊗ (g.v)."""
-    N = m.N
     order = m.order
-    i, j = gen_ij(N, g)
+    i, j = gen_ij(m.N, g)
     gm = ((g, 1),)
     out: dict = {}
     for (um, slots, d), c in m.terms.items():
-        for mono, poly in _mono_product(order, um, gm).items():
-            for e, q in enumerate(poly.coeffs):
-                if q:
-                    add_term(out, (mono, slots, d + e), q * c)
+        _add_product(out, order, um, gm, slots, d, c)
         for a, k in enumerate(slots):
             if k == j:
                 add_term(out, (um, slots[:a] + (i,) + slots[a + 1 :], d + 1), -c)
-    return ModuleElement(m.pyramid, m.t, out, order)
+    return ModuleElement(m.pyramid, m.t, out)
 
 
 def transport(m: ModuleElement, word) -> ModuleElement:
@@ -377,8 +380,8 @@ def fuse(a: ModuleElement, b: ModuleElement) -> ModuleElement:
     transported in this call; slot tuples concatenate; the total is
     reduced once at the end.
     """
-    if a.pyramid != b.pyramid or a.order != b.order:
-        raise AlgebraError("fuse needs a common pyramid and order")
+    if a.pyramid != b.pyramid:
+        raise AlgebraError("fuse needs a common pyramid")
     p = a.pyramid
     out: dict = {}
     moved_by = {(): a}  # word -> a right-acted by word, for this call only
@@ -395,7 +398,7 @@ def fuse(a: ModuleElement, b: ModuleElement) -> ModuleElement:
                 moved_by[word[: k + 1]] = moved
         for (um, uslots, ud), uc in moved.terms.items():
             add_term(out, (um, uslots + yslots, ud + yd), uc * yc)
-    return reduce_mod_m_psi(ModuleElement(p, a.t + b.t, out, a.order))
+    return reduce_mod_m_psi(ModuleElement(p, a.t + b.t, out))
 
 
 def right_act(m: ModuleElement, c: AlgebraElement) -> ModuleElement:

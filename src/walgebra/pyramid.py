@@ -23,6 +23,8 @@ m-action and the left quotient by b monomial-selective.
 
 from __future__ import annotations
 
+import functools
+
 from . import hbar as hb
 from .algebra import AlgebraElement, GeneratorOrder, gen_code
 
@@ -90,7 +92,9 @@ class Pyramid:
 
     # ------------------------------------------------------------------
     @classmethod
-    def subregular(cls, N: int) -> "Pyramid":
+    @functools.cache
+    def subregular(cls, N: int, /) -> "Pyramid":
+        """(2,1,…,1), interned: the table holds one entry per N requested."""
         if N < 2:
             raise PyramidError("subregular pyramid needs N >= 2")
         return cls((2,) + (1,) * (N - 2))
@@ -169,8 +173,8 @@ class Pyramid:
                     out.append((i, j))
         return tuple(sorted(out))
 
-    def nilpotent_e(self, order=None) -> AlgebraElement:
-        order = order or self.default_order()
+    def nilpotent_e(self) -> AlgebraElement:
+        order = self.default_order()
         acc = AlgebraElement.zero(order)
         for i, j in self.e_pairs():
             acc = acc + AlgebraElement.generator(order, i, j)
@@ -188,9 +192,9 @@ class Pyramid:
             raise PyramidError("column %d out of range" % r)
         return self.n - sum(self.heights[r - 1 :])
 
-    def modified_gen(self, i: int, j: int, order=None) -> AlgebraElement:
+    def modified_gen(self, i: int, j: int) -> AlgebraElement:
         """Etilde_ij = (-1)^(col j - col i) (E_ij + delta_ij hbar rho_col(i))."""
-        order = order or self.default_order()
+        order = self.default_order()
         sign = -1 if (self._col[j] - self._col[i]) % 2 else 1
         el = AlgebraElement.generator(order, i, j)
         if i == j:
@@ -230,9 +234,9 @@ class Pyramid:
         return b, ell, col_last, m
 
     def default_order(self) -> GeneratorOrder:
-        """Canonical order: for subregular pyramids b, E_21, E_11, column N,
-        then m; for general pyramids p-generators first and m last, both in
-        lexicographic (i, j) order within each group."""
+        """Canonical order, built once (one pair cache per interned N): for
+        subregular pyramids b, E_21, E_11, column N, then m; for general
+        pyramids p-generators first and m last, lexicographic in each group."""
         if self._order is None:
             if self.is_subregular():
                 b, ell, col_last, m = self.subregular_roles()

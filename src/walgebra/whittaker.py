@@ -114,6 +114,8 @@ def t22_l_linear_closed_form(p: Pyramid, rho: int, mode: str) -> AlgebraElement:
     """Candidate closed forms for the l-linear part of T^(rho)_[22;1]:
     sum over r of +-E_{1,r} E_21 E_11^(rho-r), with sign (-1)^r in
     'alternating' mode and a constant (-1)^(rho-1) in 'constant' mode."""
+    if mode not in ("alternating", "constant"):
+        raise ValueError("unknown mode %r" % mode)
     order = p.default_order()
     terms = {}
     for r in range(2, rho + 1):
@@ -172,10 +174,11 @@ def build_tilde_v(N: int, j: int, v1_exponent: str | None = None):
     None when the [22;1] family was used)."""
     if not 0 <= j <= N - 1:
         raise ValueError("j=%d out of range 0..%d" % (j, N - 1))
-    p = Pyramid.subregular(N)
+    if v1_exponent not in (None,) + V1_EXPONENT_CANDIDATES:
+        raise ValueError("unknown v1 exponent convention %r" % (v1_exponent,))
     if N - j != 1:
         vec = _tilde_v_candidate(N, j, "N-i-2")
-        ok, xi, res = is_whittaker(vec, p)
+        ok, xi, res = is_whittaker(vec)
         if not ok:
             raise WhittakerError(
                 "vtilde_%d over N=%d is not invariant: ad E%r left %r" % (N - j, N, xi, res)
@@ -185,7 +188,7 @@ def build_tilde_v(N: int, j: int, v1_exponent: str | None = None):
     failures = []
     for cand in candidates:
         vec = _tilde_v_candidate(N, j, cand)
-        ok, xi, res = is_whittaker(vec, p)
+        ok, xi, res = is_whittaker(vec)
         if ok:
             return vec, cand
         failures.append((cand, xi))
@@ -271,7 +274,7 @@ def canonicalize(basis: WhittakerBasis) -> WhittakerBasis:
                 "vector with leading slot %d is not in canonical form after "
                 "l-constant removal" % leading
             )
-        ok, xi, res = is_whittaker(vec, p)
+        ok, xi, res = is_whittaker(vec)
         if not ok:
             raise WhittakerError("canonicalization broke invariance at slot %r" % (xi,))
         out[leading] = vec

@@ -90,6 +90,7 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
         ["check-omega", "--N", "2"],
         ["compute-T", "--pyramid", "3,1,2", "--i", "1", "--j", "1", "--x", "0", "--r", "1"],
         ["compute-T", "--pyramid", "1,2,1", "--i", "5", "--j", "1", "--x", "0", "--r", "1"],
+        ["selftest", "--N", "3", "--cases", "0"],
     ],
     ids=[
         "missing-args",
@@ -99,6 +100,7 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
         "check-omega-N2",
         "not-unimodal",
         "row-out-of-range",
+        "selftest-cases-0",
     ],
 )
 def test_usage_error_exit_code(capsys, argv):

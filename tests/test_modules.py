@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from walgebra.algebra import AlgebraElement
+from walgebra.algebra import AlgebraElement, AlgebraError, GeneratorOrder
 from walgebra.hbar import HbarPoly
 from walgebra.modules import (
     ModuleElement,
@@ -128,8 +128,17 @@ def test_ad_action_examples(sub3):
     for N in range(3, 7):
         p = Pyramid.subregular(N)
         vN = ModuleElement.basis_vector(p, N)
-        ok, xi, res = is_whittaker(vN, p)
+        ok, xi, res = is_whittaker(vN)
         assert ok, (xi, res)
+
+
+def test_embed_rejects_foreign_order(sub3):
+    lex = GeneratorOrder.lex(3)
+    assert lex != sub3.default_order()
+    with pytest.raises(AlgebraError):
+        ModuleElement.embed(E(lex, 2, 1), sub3, (1,))
+    # the same element over the pyramid's own order embeds
+    ModuleElement.embed(E(sub3.default_order(), 2, 1), sub3, (1,))
 
 
 def test_ad_rejects_non_m(sub3):
@@ -137,16 +146,17 @@ def test_ad_rejects_non_m(sub3):
         ad_action((1, 2), ModuleElement.basis_vector(sub3, 1))
 
 
-def test_hbar_ad_identity_random():
+@pytest.mark.parametrize("N", [4, 5])
+def test_hbar_ad_identity_random(N):
     # hbar * ad_xi(m) = xi.m - psi(xi) m
-    p = Pyramid.subregular(4)
+    p = Pyramid.subregular(N)
     o = p.default_order()
     psi = p.psi()
     rng = random.Random(13)
     for _ in range(12):
-        i, j = rng.randint(1, 4), rng.randint(1, 4)
-        x = E(o, i, j) * E(o, rng.randint(1, 4), rng.randint(1, 4))
-        m = embed_and_reduce(p, x, (rng.randint(1, 4),))
+        i, j = rng.randint(1, N), rng.randint(1, N)
+        x = E(o, i, j) * E(o, rng.randint(1, N), rng.randint(1, N))
+        m = embed_and_reduce(p, x, (rng.randint(1, N),))
         for xi in p.m_basis():
             lhs = ad_action(xi, m).scale(HbarPoly.hbar())
             rhs = act_left(E(o, *xi), m) - m.scale(psi(*xi))
@@ -154,7 +164,7 @@ def test_hbar_ad_identity_random():
 
 
 def test_is_whittaker_negative(sub3):
-    ok, xi, res = is_whittaker(ModuleElement.basis_vector(sub3, 1), sub3)
+    ok, xi, res = is_whittaker(ModuleElement.basis_vector(sub3, 1))
     assert not ok
     assert xi == (3, 1)
     assert res == ModuleElement.basis_vector(sub3, 3)
@@ -240,7 +250,7 @@ def test_fuse_respects_whittaker(sub3):
     # the fusion of Whittaker vectors stays Whittaker (simple instances)
     vN = ModuleElement.basis_vector(sub3, 3)
     out = fuse(vN, vN)
-    ok, xi, res = is_whittaker(out, sub3)
+    ok, xi, res = is_whittaker(out)
     assert ok
 
 

@@ -150,6 +150,19 @@ def test_truncate():
         assert (t.row(b), t.col(b)) == (p.row(b), p.col(b))
 
 
+def test_subregular_is_interned():
+    # one pyramid per N, hence one generator order and one pair cache
+    for N in range(2, 8):
+        p = Pyramid.subregular(N)
+        assert Pyramid.subregular(N) is p
+        assert Pyramid.parse("subreg:%d" % N) is p
+        assert Pyramid.subregular(N).default_order() is p.default_order()
+    assert Pyramid.subregular(5) is not Pyramid.subregular(6)
+    # a keyword call would key a second cache entry, so it is refused
+    with pytest.raises(TypeError):
+        Pyramid.subregular(N=5)
+
+
 def test_truncate_composes():
     p = Pyramid((1, 3, 2, 1))
     assert p.truncate(1).truncate(2) == p.truncate(3)

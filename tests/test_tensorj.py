@@ -128,7 +128,7 @@ def test_pair_generators_are_whittaker(J3, J4, oracle):
     for J in (J3, J4):
         p = J.pyramid
         for (i, j), vec in oracle[J.N][1].items():
-            ok, xi, _ = is_whittaker(vec, p)
+            ok, xi, _ = is_whittaker(vec)
             assert ok, ((i, j), xi)
 
 
@@ -184,7 +184,7 @@ def test_fusions_are_whittaker():
         for i in (1, 2, N):
             for j in (1, N - 1):
                 out = fuse(basis.vector(i), basis.vector(j))
-                ok, xi, _ = is_whittaker(out, p)
+                ok, xi, _ = is_whittaker(out)
                 assert ok, (N, i, j, xi)
 
 

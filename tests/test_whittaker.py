@@ -1,7 +1,7 @@
 import pytest
 
 from walgebra.algebra import AlgebraElement
-from walgebra.bk import subregular_w_generators, t_element
+from walgebra.bk import subregular_w_generators, t_element, truncated_t
 from walgebra.hbar import HbarPoly
 from walgebra.modules import (
     ModuleElement,
@@ -71,12 +71,31 @@ def test_tilde_v1_other_exponent_fails():
         build_tilde_v(3, 2, v1_exponent="N-i-1")
 
 
+def test_tilde_v_unknown_exponent_rejected():
+    for j in (0, 2):
+        with pytest.raises(ValueError, match="bogus"):
+            build_tilde_v(3, j, v1_exponent="bogus")
+
+
+def test_t22_closed_form_unknown_mode_rejected():
+    with pytest.raises(ValueError, match="bogus"):
+        t22_l_linear_closed_form(Pyramid.subregular(5), 3, "bogus")
+
+
+def test_canonical_basis_shares_one_order():
+    basis = canonical_basis(5)
+    p = basis.pyramid
+    assert p is Pyramid.subregular(5)
+    assert {id(basis.vector(i).order) for i in range(1, 6)} == {id(p.default_order())}
+    assert truncated_t(p, 1, 2, 2, 1, 3).value.order is p.default_order()
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_all_tilde_vectors_invariant(N):
     basis = build_basis(N)
     p = basis.pyramid
     for i in range(1, N + 1):
-        ok, xi, res = is_whittaker(basis.vector(i), p)
+        ok, xi, res = is_whittaker(basis.vector(i))
         assert ok, (i, xi)
 
 
@@ -85,7 +104,7 @@ def test_w_generators_are_whittaker_in_Q():
         p = Pyramid.subregular(N)
         for g in subregular_w_generators(N):
             m = reduce_mod_m_psi(ModuleElement.embed(g.value, p, ()))
-            ok, xi, res = is_whittaker(m, p)
+            ok, xi, res = is_whittaker(m)
             assert ok, (g.label(), xi)
 
 
@@ -211,7 +230,7 @@ def test_canonical_basis_properties(N):
     for i in range(1, N + 1):
         vec = basis.vector(i)
         assert is_canonical_vector(vec, i, p)
-        ok, xi, _ = is_whittaker(vec, p)
+        ok, xi, _ = is_whittaker(vec)
         assert ok
         # b-reduction keeps exactly the leading term
         assert reduce_mod_b_left(vec) == ModuleElement.basis_vector(p, i)
