@@ -21,6 +21,26 @@ product runs over all s links; the degenerate s = 0 case then reproduces
 the T^(0) normalization, and the fixture T^(1)_[21;x=1] = -E_21 pins the
 convention (see tests).
 
+Suffix-first evaluation.  Which completions a partial chain
+(i_1, j_1), ..., (i_k, j_k) admits, with their signs, depends on three
+values only: its row row(j_k), the budget left r - (cost so far) and its
+last column col(j_k).  The next link reads the sign of that row (strict
+or non-strict jump), the last column and the budget; the end condition
+reads the row; and every later sign is sigma of a later row.  So with
+
+    S(row, b, c) = sum over the admissible links (i_k, j_k) from (row, b, c)
+                   of sigma(row(j_k)) * Etilde_{i_k,j_k}
+                      * S(row(j_k), b - cost, col(j_k)),
+    S(row, 0, c) = 1 if row = j and 0 otherwise,
+
+T^(r)_[ij;x] = S(i, r, none) for r >= 1.  truncated_t fills a table of S
+that lives for one call: one product Etilde * S per link of each state (a
+few dozen states), where the chain sum takes one product per chain (about
+a thousand at r = 5..7).  The product is exact and associative, so the
+value equals the chain sum term by term.  _links states the chain rules
+once; chain_sum stays as the written definition, which the tests sum
+chain by chain as an oracle and the benchmark tracer spans.
+
 The truncated variant computes the chain sum in the pyramid with k
 columns removed but substitutes the modified generators of the full
 pyramid for the truncated ones; the two differ by hbar-shifts on the
@@ -31,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, add_term
 from .pyramid import Pyramid
 
 _memo: dict = {}
@@ -63,60 +83,77 @@ def _check_args(p: Pyramid, i: int, j: int, x: int, r: int):
         raise ValueError("degree r=%d must be >= 0" % r)
 
 
+def _sigma(row: int, x: int) -> int:
+    return -1 if row <= x else 1
+
+
+def _links(p: Pyramid, j: int, x: int, row: int, budget: int, last_col):
+    """The admissible next links of a partial chain: every
+    (i_k, j_k, sigma(row(j_k)), budget left) that may follow a chain
+    ending in `row` with `budget` left and last column `last_col` (None
+    before the first link).  A link that spends the whole budget is kept
+    only when it ends in row j.  The one statement of the chain rules."""
+    strict = _sigma(row, x) > 0
+    for ik in p.blocks_in_row(row):
+        cik = p.col(ik)
+        if last_col is not None and (cik <= last_col if strict else cik > last_col):
+            continue
+        for jk in range(1, p.N + 1):
+            cost = p.col(jk) - cik + 1
+            if not 1 <= cost <= budget:
+                continue
+            rjk = p.row(jk)
+            if cost < budget or rjk == j:
+                yield ik, jk, _sigma(rjk, x), budget - cost
+
+
 def chain_sum(enum_p: Pyramid, i: int, j: int, x: int, r: int):
-    """All admissible chains as (sign, ((i_1,j_1),...,(i_s,j_s))) tuples."""
-    by_row = {row: enum_p.blocks_in_row(row) for row in range(1, enum_p.n + 1)}
-    col = enum_p.col
-    row = enum_p.row
+    """All admissible chains as (sign, ((i_1,j_1),...,(i_s,j_s))) tuples.
 
-    def sigma(rw: int) -> int:
-        return -1 if rw <= x else 1
-
+    The written definition of T^(r)_[ij;x]; truncated_t sums the same
+    chains suffix-first without listing them."""
     out = []
-    blocks = range(1, enum_p.N + 1)
 
-    def extend(cur_row, budget, prev_jcol, prev_sigma, chain, sign):
-        for ik in by_row[cur_row]:
-            cik = col(ik)
-            if prev_jcol is not None:
-                if prev_sigma > 0:
-                    if not cik > prev_jcol:
-                        continue
-                else:
-                    if not cik <= prev_jcol:
-                        continue
-            for jk in blocks:
-                cost = col(jk) - cik + 1
-                if cost < 1 or cost > budget:
-                    continue
-                rjk = row(jk)
-                s2 = sign * sigma(rjk)
-                nb = budget - cost
-                nchain = chain + ((ik, jk),)
-                if nb == 0:
-                    if rjk == j:
-                        out.append((s2, nchain))
-                else:
-                    extend(rjk, nb, col(jk), sigma(rjk), nchain, s2)
+    def extend(row, budget, last_col, chain, sign):
+        for ik, jk, s, rest in _links(enum_p, j, x, row, budget, last_col):
+            if rest == 0:
+                out.append((sign * s, chain + ((ik, jk),)))
+            else:
+                extend(enum_p.row(jk), rest, enum_p.col(jk), chain + ((ik, jk),), sign * s)
 
-    extend(i, r, None, None, (), 1)
+    extend(i, r, None, (), 1)
     return out
 
 
-def _assemble(value_p: Pyramid, chains) -> AlgebraElement:
+def _suffix_sum(value_p: Pyramid, enum_p: Pyramid, i: int, j: int, x: int, r: int) -> AlgebraElement:
+    """S(i, r, None), where S(row, budget, last_col) is the signed sum of
+    the products of all admissible completions of a partial chain in that
+    state (see the module docstring).  The table lives for one call."""
     order = value_p.default_order()
-    etilde = {}
-    acc = AlgebraElement.zero(order)
-    for sign, chain in chains:
-        prod = None
-        for (ik, jk) in chain:
-            f = etilde.get((ik, jk))
+    factors = {}  # (i_k, j_k) -> sigma(row(j_k)) * Etilde_{i_k j_k} of value_p
+    table = {}
+
+    def S(row, budget, last_col):
+        key = (row, budget, last_col)
+        hit = table.get(key)
+        if hit is not None:
+            return hit
+        out = {}
+        for ik, jk, s, rest in _links(enum_p, j, x, row, budget, last_col):
+            f = factors.get((ik, jk))
             if f is None:
-                f = value_p.modified_gen(ik, jk)
-                etilde[(ik, jk)] = f
-            prod = f if prod is None else prod * f
-        acc = acc + prod.scale(sign)
-    return acc
+                f = factors[(ik, jk)] = value_p.modified_gen(ik, jk).scale(s)
+            if rest:
+                tail = S(enum_p.row(jk), rest, enum_p.col(jk))
+                if not tail:
+                    continue
+                f = f * tail
+            for m, c in f.terms.items():
+                add_term(out, m, c)
+        hit = table[key] = AlgebraElement(order, out)
+        return hit
+
+    return S(i, r, None)
 
 
 def t_element(p: Pyramid, i: int, j: int, x: int, r: int) -> TGenerator:
@@ -127,7 +164,7 @@ def t_element(p: Pyramid, i: int, j: int, x: int, r: int) -> TGenerator:
 def truncated_t(p: Pyramid, k: int, i: int, j: int, x: int, r: int) -> TGenerator:
     """T^(r)_[ij;x] of the k-fold truncated pyramid, embedded back into p.
 
-    The chains are enumerated in the truncated pyramid; each truncated
+    The chain rules are read in the truncated pyramid; each truncated
     modified generator is replaced by the full pyramid's one before
     normal ordering.
     """
@@ -139,10 +176,9 @@ def truncated_t(p: Pyramid, k: int, i: int, j: int, x: int, r: int) -> TGenerato
     _check_args(enum_p, i, j, x, r)
     order = p.default_order()
     if r == 0:
-        sigma_i = -1 if i <= x else 1
-        value = AlgebraElement.scalar(order, sigma_i) if i == j else AlgebraElement.zero(order)
+        value = AlgebraElement.scalar(order, _sigma(i, x)) if i == j else AlgebraElement.zero(order)
     else:
-        value = _assemble(p, chain_sum(enum_p, i, j, x, r))
+        value = _suffix_sum(p, enum_p, i, j, x, r)
     gen = TGenerator(pyramid=p, truncation=k, i=i, j=j, x=x, r=r, value=value)
     _memo[key] = gen
     return gen
@@ -156,7 +192,6 @@ def t1_closed_form(p: Pyramid, i: int, j: int, x: int) -> AlgebraElement:
     """
     _check_args(p, i, j, x, 1)
     order = p.default_order()
-    sigma_j = -1 if j <= x else 1
     acc = AlgebraElement.zero(order)
     for h in range(1, p.N + 1):
         if p.row(h) != i:
@@ -164,7 +199,7 @@ def t1_closed_form(p: Pyramid, i: int, j: int, x: int) -> AlgebraElement:
         for k in range(1, p.N + 1):
             if p.row(k) == j and p.col(k) == p.col(h):
                 acc = acc + p.modified_gen(h, k)
-    return acc.scale(sigma_j)
+    return acc.scale(_sigma(j, x))
 
 
 def subregular_w_generators(N: int):

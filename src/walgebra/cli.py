@@ -18,7 +18,6 @@ check-omega, and selftest --cases < 1.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -35,17 +34,18 @@ from .checks import (
 from .geometry import GeometryError
 from .pyramid import Pyramid, PyramidError
 from .render import render_algebra
-from .reports import VerificationReport, save_fixture
+from .reports import VerificationReport, write_json
 
 
-def _emit(report: VerificationReport, args) -> None:
+def _emit(data: dict, table, args) -> None:
+    """Write data to --out, then data (--format json) or table() to stdout."""
     if args.out:
-        save_fixture(report, args.out)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            write_json(data, fh)
     if args.format == "json":
-        json.dump(report.to_json(), sys.stdout, indent=1, sort_keys=True, ensure_ascii=False)
-        sys.stdout.write("\n")
+        write_json(data, sys.stdout)
     else:
-        print(report.render_table())
+        print(table())
 
 
 def _exit_code(report: VerificationReport, args, hard_fail: bool = False) -> int:
@@ -71,15 +71,7 @@ def cmd_compute_t(args) -> int:
         "order_fingerprint": p.default_order().fingerprint,
         "engine_version": __version__,
     }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True, ensure_ascii=False)
-            fh.write("\n")
-    if args.format == "table":
-        print("%s = %s" % (t.label(), render_algebra(t.value)))
-    else:
-        json.dump(payload, sys.stdout, indent=1, sort_keys=True, ensure_ascii=False)
-        sys.stdout.write("\n")
+    _emit(payload, lambda: "%s = %s" % (t.label(), render_algebra(t.value)), args)
     return 0
 
 
@@ -102,7 +94,7 @@ def cmd_verify_whittaker(args) -> int:
         order_fingerprint=p.default_order().fingerprint,
         meta=meta,
     )
-    _emit(report, args)
+    _emit(report.to_json(), report.render_table, args)
     return _exit_code(report, args, hard_fail=hard or not report.ok())
 
 
@@ -141,7 +133,7 @@ def cmd_compute_j(args) -> int:
         order_fingerprint=p.default_order().fingerprint,
         meta=meta,
     )
-    _emit(report, args)
+    _emit(report.to_json(), report.render_table, args)
     if args.format == "table" and args.compare and meta.get("semiclassical"):
         cmp = meta["semiclassical"]
         print(
@@ -171,7 +163,7 @@ def cmd_check_omega(args) -> int:
         order_fingerprint=p.default_order().fingerprint,
         meta=rep,
     )
-    _emit(report, args)
+    _emit(report.to_json(), report.render_table, args)
     return _exit_code(report, args, hard_fail=not report.ok())
 
 
@@ -203,7 +195,7 @@ def cmd_selftest(args) -> int:
         order_fingerprint=p.default_order().fingerprint,
         meta=meta,
     )
-    _emit(report, args)
+    _emit(report.to_json(), report.render_table, args)
     return _exit_code(report, args, hard_fail=not report.ok())
 
 

@@ -59,6 +59,7 @@ class Pyramid:
         "_m_codes",
         "_p_codes",
         "_order",
+        "_psi",
     )
 
     def __init__(self, heights):
@@ -89,6 +90,7 @@ class Pyramid:
         self._m_codes = frozenset(m_codes)
         self._p_codes = frozenset(p_codes)
         self._order = None
+        self._psi = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -181,7 +183,10 @@ class Pyramid:
         return acc
 
     def psi(self) -> "CharacterPsi":
-        return CharacterPsi(self)
+        """The character, built once per pyramid."""
+        if self._psi is None:
+            self._psi = CharacterPsi(self)
+        return self._psi
 
     # ------------------------------------------------------------------
     # rho shifts and modified generators
@@ -205,11 +210,14 @@ class Pyramid:
     # truncation
     # ------------------------------------------------------------------
     def truncate(self, k: int) -> "Pyramid":
-        """Drop the k rightmost columns; block numbering is preserved."""
+        """Drop the k rightmost columns; block numbering is preserved.  A
+        truncated subregular pyramid is the interned subregular one."""
         if k < 0 or k >= len(self.heights):
             raise PyramidError("cannot drop %d of %d columns" % (k, len(self.heights)))
         if k == 0:
             return self
+        if self.is_subregular():
+            return Pyramid.subregular(self.N - k)
         return Pyramid(self.heights[: len(self.heights) - k])
 
     # ------------------------------------------------------------------

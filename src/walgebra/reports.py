@@ -93,10 +93,16 @@ def validate_report_data(data: dict) -> None:
             raise ReportSchemaError("check status must be pass/fail: %r" % (c,))
 
 
+def write_json(data, fh) -> None:
+    """The package's one JSON layout: indent 1, sorted keys, UTF-8 text
+    and a final newline."""
+    json.dump(data, fh, indent=1, sort_keys=True, ensure_ascii=False)
+    fh.write("\n")
+
+
 def save_fixture(report: VerificationReport, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=1, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+        write_json(report.to_json(), fh)
 
 
 def load_fixture(path: str) -> VerificationReport:

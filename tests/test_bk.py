@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from walgebra.algebra import AlgebraElement
 from walgebra.bk import (
+    chain_sum,
     in_parabolic,
     subregular_w_generators,
     t1_closed_form,
@@ -186,3 +190,57 @@ def test_memoization_returns_same_object():
     a = t_element(p, 2, 2, 1, 2)
     b = t_element(p, 2, 2, 1, 2)
     assert a is b
+
+
+# ----------------------------------------------------------------------
+# truncated_t sums the chains suffix-first; the oracle below multiplies
+# every chain of chain_sum out from the left, with the sign product
+# sigma(row(j_1)) ... sigma(row(j_s)) taken afresh from the chain
+# ----------------------------------------------------------------------
+def _chain_product_sum(value_p, enum_p, i, j, x, r):
+    acc = AlgebraElement.zero(value_p.default_order())
+    for listed_sign, chain in chain_sum(enum_p, i, j, x, r):
+        sign = 1
+        prod = None
+        for ik, jk in chain:
+            sign *= -1 if enum_p.row(jk) <= x else 1
+            f = value_p.modified_gen(ik, jk)
+            prod = f if prod is None else prod * f
+        assert listed_sign == sign
+        acc = acc + prod.scale(sign)
+    return acc
+
+
+ORACLE_PYRAMIDS = ("subreg:3", "subreg:4", "subreg:5", "subreg:6",
+                   "1,3,3,1", "2,2,2,2", "1,2,2,2,1", "2,3,3,2,1")
+
+
+@pytest.mark.parametrize("spec", ORACLE_PYRAMIDS)
+def test_truncated_t_equals_chain_product_sum(spec):
+    p = Pyramid.parse(spec)
+    for k in (0, 1):
+        enum_p = p.truncate(k)
+        n = enum_p.n
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                for x in range(0, n + 1):
+                    for r in (1, 2, 3):
+                        want = _chain_product_sum(p, enum_p, i, j, x, r)
+                        assert truncated_t(p, k, i, j, x, r).value == want, (k, i, j, x, r)
+
+
+# SHA-256 of the sorted-key JSON of truncated_t(...).value.to_json(),
+# recorded from the per-chain product sum before the suffix-first sum
+T_DIGESTS = {
+    ("subreg:8", 0, 1, 2, 2, 7): "194fe05a0989167b4d0f1fe84c06faf7870e0d9e9d6fc91cbed0cb0054df5094",
+    ("1,3,3,1", 1, 2, 3, 3, 5): "e3d94312e4c352db5ce94ba5e8b05b648f19ce23fff7faba9af807c53d4f60c3",
+    ("2,2,2,2", 0, 1, 2, 1, 5): "ec4ec50158f0765a02f7b685c36e175915a9c36bb8bce88a34b94ce3b151b21a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(T_DIGESTS), ids=lambda c: "%s|k%d|i%d|j%d|x%d|r%d" % c)
+def test_truncated_t_golden_digests(case):
+    spec, k, i, j, x, r = case
+    value = truncated_t(Pyramid.parse(spec), k, i, j, x, r).value
+    text = json.dumps(value.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == T_DIGESTS[case]

@@ -163,6 +163,20 @@ def test_subregular_is_interned():
         Pyramid.subregular(N=5)
 
 
+def test_subregular_truncation_is_interned():
+    assert Pyramid.subregular(7).truncate(2) is Pyramid.subregular(5)
+    assert Pyramid((2, 1, 1, 1)).truncate(1) is Pyramid.subregular(4)
+    # non-subregular truncations are built as before
+    assert Pyramid((2, 2, 1)).truncate(1).heights == (2, 2)
+
+
+def test_psi_built_once():
+    p = Pyramid.subregular(5)
+    assert p.psi() is p.psi()
+    q = Pyramid((1, 3, 2, 1))
+    assert q.psi() is q.psi()
+
+
 def test_truncate_composes():
     p = Pyramid((1, 3, 2, 1))
     assert p.truncate(1).truncate(2) == p.truncate(3)
