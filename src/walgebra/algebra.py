@@ -4,7 +4,8 @@ Generators are the matrix units E[i,j], 1 <= i,j <= N, with
 [E_ij, E_kl] = delta_jk E_il - delta_li E_kj, and the product relation
 x*y - y*x = hbar*[x,y].  An element is a finite rational[hbar]-linear
 combination of PBW monomials: products of generators weakly increasing
-with respect to a fixed total order on the N^2 generators.
+with respect to a fixed total order on the N^2 generators.  It is stored
+as terms {(monomial, hbar-degree d): c}, the term c * hbar^d * monomial.
 
 Normal ordering is bubble-sort style: an adjacent out-of-order pair
 E_kl * E_ij (E_kl ranked after E_ij) is replaced by
@@ -12,9 +13,13 @@ E_kl * E_ij (E_kl ranked after E_ij) is replaced by
     E_ij * E_kl + hbar * (delta_li E_kj - delta_jk E_il),
 
 which strictly decreases the inversion count at fixed word length and
-spawns strictly shorter words otherwise, so rewriting terminates.  Term
-maps are merged after every step and zero coefficients are purged, so
-equality of elements is equality of dictionaries.
+spawns strictly shorter words otherwise, so rewriting terminates.  Each
+rewrite either swaps two letters or trades two letters for one at one
+more power of hbar, so a pending word of length l descending from a word
+of length n carries hbar^(n - l): its length alone fixes its degree, and
+the worklist holds bare rational coefficients.  Term maps are merged
+after every step and zero coefficients are purged, so equality of
+elements is equality of dictionaries.
 
 Every such merge, here and in the other layers, goes through add_term.
 Elements are immutable values once built; all operations are pure
@@ -26,7 +31,7 @@ from __future__ import annotations
 import hashlib
 
 from . import hbar as hb
-from .hbar import HbarPoly
+from .hbar import HbarPoly, _exact
 
 NORMAL_ORDER_STEP_BUDGET = 10_000_000
 
@@ -120,7 +125,7 @@ def _word_to_mono(word):
 def add_term(terms: dict, key, coeff) -> None:
     """terms[key] += coeff in place, dropping the key when the sum is zero.
 
-    One kernel for every term map of the package: HbarPoly, the rationals
+    One kernel for every term map of the package: the rationals, HbarPoly
     and the element types are all falsy exactly at zero.
     """
     acc = terms.get(key)
@@ -141,14 +146,17 @@ def _mono_to_word(mono):
 def normal_order_word(order: GeneratorOrder, word) -> dict:
     """Rewrite an arbitrary generator word into PBW form.
 
-    Returns a map {monomial: HbarPoly}.  The worklist keys pending words so
-    coefficients of identical intermediates merge as early as possible, and
-    a word whose coefficient cancels leaves the worklist at once.  More than
-    NORMAL_ORDER_STEP_BUDGET worklist steps raise AlgebraError.
+    Returns terms {(monomial, d): c}, where d is len(word) minus the
+    length of the monomial (see the module docstring).  The worklist keys
+    pending words so coefficients of identical intermediates merge as
+    early as possible, and a word whose coefficient cancels leaves the
+    worklist at once.  More than NORMAL_ORDER_STEP_BUDGET worklist steps
+    raise AlgebraError.
     """
     ranks = order.ranks
     N = order.N
-    pending = {tuple(word): hb.ONE}
+    n = len(word)
+    pending = {tuple(word): 1}
     done = {}
     steps = 0
     while pending:
@@ -163,17 +171,17 @@ def normal_order_word(order: GeneratorOrder, word) -> dict:
                 pos = p
                 break
         if pos < 0:
-            add_term(done, _word_to_mono(w), c)
+            add_term(done, (_word_to_mono(w), n - len(w)), c)
             continue
         add_term(pending, w[:pos] + (w[pos + 1], w[pos]) + w[pos + 2 :], c)
         for g, sign in _gen_bracket(N, w[pos], w[pos + 1]):
-            extra = c.shift(1) if sign == 1 else c.shift(1).scale(-1)
-            add_term(pending, w[:pos] + (g,) + w[pos + 2 :], extra)
+            add_term(pending, w[:pos] + (g,) + w[pos + 2 :], c if sign == 1 else -c)
     return done
 
 
 def _mono_product(order: GeneratorOrder, ma, mb) -> dict:
-    """Normal form of the concatenation of two PBW monomials, cached."""
+    """Terms {(monomial, d): c} of the concatenation of two PBW monomials,
+    cached."""
     cache = order._pair_cache
     key = (ma, mb)
     hit = cache.get(key)
@@ -183,19 +191,44 @@ def _mono_product(order: GeneratorOrder, ma, mb) -> dict:
     return hit
 
 
+def _spread(polys) -> dict:
+    """Degree-keyed terms {key + (d,): c} from pairs (key, HbarPoly), key a
+    tuple: how an HbarPoly coefficient enters a term map."""
+    return {key + (d,): c for key, poly in polys for d, c in enumerate(poly.coeffs) if c}
+
+
+def _gather(terms) -> dict:
+    """{key: HbarPoly} from degree-keyed items (key + (d,), c): how a
+    coefficient leaves a term map."""
+    by_key: dict = {}
+    for k, c in terms:
+        by_key.setdefault(k[:-1], {})[k[-1]] = c
+    return {
+        key: HbarPoly([by_d.get(d, 0) for d in range(max(by_d) + 1)])
+        for key, by_d in by_key.items()
+    }
+
+
 class TermMap:
     """The linear structure shared by the element types: a finite map
-    terms = {key: nonzero coefficient}.  AlgebraElement keys monomials
-    and holds HbarPoly coefficients; ModuleElement keys
-    (monomial, slots, hbar-degree) and holds bare rationals.  Either
-    coefficient is falsy exactly at zero, so add_term merges both.
+    terms = {key: nonzero rational}, the key ending in the hbar-degree d.
+    AlgebraElement keys (monomial, d) and ModuleElement keys
+    (monomial, slots, d).  A coefficient is an int where it is integral
+    and a Fraction otherwise (see hbar._exact), so equal elements have
+    equal term maps.  HbarPoly coefficients enter through _spread and
+    leave through _gather, at the edges only.
 
     A subclass supplies _check_compatible(other), which raises on mixed
     ambient data, and _with(terms), which builds an element with the
     same ambient data as self.
     """
 
-    __slots__ = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        if not set(map(type, terms.values())) <= {int}:
+            terms = {k: _exact(c) for k, c in terms.items()}
+        self.terms = terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -216,19 +249,33 @@ class TermMap:
     def __sub__(self, other):
         return self + (-other)
 
+    def scale(self, q):
+        """Multiply by a rational or HbarPoly scalar."""
+        parts = enumerate(q.coeffs) if isinstance(q, HbarPoly) else ((0, q),)
+        out: dict = {}
+        for e, r in parts:
+            if r:
+                for k, c in self.terms.items():
+                    add_term(out, k[:-1] + (k[-1] + e,), c * r)
+        return self._with(out)
+
+    def keep(self, pred):
+        """The terms whose monomial satisfies pred."""
+        return self._with({k: c for k, c in self.terms.items() if pred(k[0])})
+
 
 class AlgebraElement(TermMap):
     """An exact element of the asymptotic enveloping algebra of gl_N.
 
-    terms maps PBW monomials ((gen code, exponent), ...) to nonzero
-    HbarPoly coefficients; the empty monomial is the unit.
+    terms maps (PBW monomial ((gen code, exponent), ...), hbar-degree) to
+    a nonzero rational; the empty monomial is the unit.
     """
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order",)
 
     def __init__(self, order: GeneratorOrder, terms: dict):
         self.order = order
-        self.terms = terms
+        TermMap.__init__(self, terms)
 
     # ------------------------------------------------------------------
     # constructors
@@ -239,10 +286,9 @@ class AlgebraElement(TermMap):
 
     @classmethod
     def scalar(cls, order, coeff) -> "AlgebraElement":
+        """A rational or HbarPoly scalar."""
         poly = coeff if isinstance(coeff, HbarPoly) else HbarPoly.const(coeff)
-        if poly.is_zero():
-            return cls(order, {})
-        return cls(order, {(): poly})
+        return cls.from_terms(order, {(): poly})
 
     @classmethod
     def one(cls, order) -> "AlgebraElement":
@@ -250,12 +296,12 @@ class AlgebraElement(TermMap):
 
     @classmethod
     def generator(cls, order, i: int, j: int) -> "AlgebraElement":
-        return cls(order, {((gen_code(order.N, i, j), 1),): hb.ONE})
+        return cls(order, {(((gen_code(order.N, i, j), 1),), 0): 1})
 
     @classmethod
     def from_terms(cls, order, raw: dict) -> "AlgebraElement":
-        terms = {m: c for m, c in raw.items() if not c.is_zero()}
-        return cls(order, terms)
+        """From {monomial: HbarPoly}."""
+        return cls(order, _spread(((m,), c) for m, c in raw.items()))
 
     # ------------------------------------------------------------------
     # structure
@@ -279,27 +325,20 @@ class AlgebraElement(TermMap):
     def _with(self, terms: dict) -> "AlgebraElement":
         return AlgebraElement(self.order, terms)
 
-    def scale(self, q):
-        """Multiply by a rational or HbarPoly scalar.
-
-        Q[hbar] has no zero divisors, so a nonzero q keeps every term.
-        """
-        if isinstance(q, HbarPoly):
-            return self._with({k: c * q for k, c in self.terms.items()} if q else {})
-        return self._with({k: c.scale(q) for k, c in self.terms.items()} if q else {})
-
     # ------------------------------------------------------------------
     # multiplication and the asymptotic commutator
     # ------------------------------------------------------------------
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_compatible(other)
+        order = self.order
         out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+        for (ma, da), ca in self.terms.items():
+            for (mb, db), cb in other.terms.items():
                 c = ca * cb
-                for m, p in _mono_product(self.order, ma, mb).items():
-                    add_term(out, m, p * c)
-        return AlgebraElement(self.order, out)
+                d = da + db
+                for (m, e), q in _mono_product(order, ma, mb).items():
+                    add_term(out, (m, d + e), q * c)
+        return AlgebraElement(order, out)
 
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
         """(self*other - other*self) / hbar, exact.
@@ -308,34 +347,30 @@ class AlgebraElement(TermMap):
         engine is broken, and raises.
         """
         diff = self * other - other * self
-        out = {}
-        for m, c in diff.terms.items():
-            if not c.divisible_by_hbar():
+        for m, d in diff.terms:
+            if not d:
                 raise AlgebraError(
                     "internal consistency failure: xy-yx not divisible by hbar at %r" % (m,)
                 )
-            out[m] = c.divide_hbar()
-        return AlgebraElement(self.order, out)
+        return diff.times_hbar(-1)
 
     # ------------------------------------------------------------------
     # hbar manipulation
     # ------------------------------------------------------------------
     def times_hbar(self, power: int = 1) -> "AlgebraElement":
-        return AlgebraElement(self.order, {m: c.shift(power) for m, c in self.terms.items()})
+        return self._with({(m, d + power): c for (m, d), c in self.terms.items()})
 
     def divide_hbar(self) -> "AlgebraElement":
-        return AlgebraElement(self.order, {m: c.divide_hbar() for m, c in self.terms.items()})
+        """Exact division by hbar; raises if a term has degree 0."""
+        if not self.divisible_by_hbar():
+            raise ValueError("not divisible by hbar")
+        return self.times_hbar(-1)
 
     def divisible_by_hbar(self) -> bool:
-        return all(c.divisible_by_hbar() for c in self.terms.values())
+        return all(d for _, d in self.terms)
 
     def at_hbar_zero(self) -> "AlgebraElement":
-        out = {}
-        for m, c in self.terms.items():
-            p = c.at_hbar_zero()
-            if not p.is_zero():
-                out[m] = p
-        return AlgebraElement(self.order, out)
+        return self._with({k: c for k, c in self.terms.items() if k[1] == 0})
 
     # ------------------------------------------------------------------
     # queries
@@ -349,41 +384,46 @@ class AlgebraElement(TermMap):
             return float("-inf")
         N = self.N
         best = None
-        for m, c in self.terms.items():
-            d = 0
+        for m, d in self.terms:
             for g, e in m:
                 i, j = gen_ij(N, g)
                 d += e * (pyramid.col(j) - pyramid.col(i) + 1)
-            d += c.degree()
             if best is None or d > best:
                 best = d
         return best
 
     def coefficient(self, mono) -> HbarPoly:
-        return self.terms.get(tuple(mono), hb.ZERO)
+        mono = tuple(mono)
+        found = _gather(item for item in self.terms.items() if item[0][0] == mono)
+        return found.get((mono,), hb.ZERO)
 
     def monomials(self):
-        return self.terms.keys()
+        return {m for m, _ in self.terms}
 
     def change_order(self, new_order: GeneratorOrder) -> "AlgebraElement":
         """Re-express the element in PBW form for another generator order."""
         if new_order.N != self.N:
             raise AlgebraError("cannot change order across different N")
         out = {}
-        for m, c in self.terms.items():
-            for m2, p in normal_order_word(new_order, _mono_to_word(m)).items():
-                add_term(out, m2, p * c)
+        forms = {}  # monomial -> its terms in new_order, once per monomial
+        for (m, d), c in self.terms.items():
+            form = forms.get(m)
+            if form is None:
+                form = forms[m] = normal_order_word(new_order, _mono_to_word(m))
+            for (m2, e), q in form.items():
+                add_term(out, (m2, d + e), q * c)
         return AlgebraElement(new_order, out)
 
     def sorted_terms(self):
-        """Terms in a deterministic order (by rank sequence of the monomial)."""
+        """[(monomial, HbarPoly)] in a deterministic order (by rank sequence
+        of the monomial)."""
         ranks = self.order.ranks
 
         def key(item):
             m, _ = item
             return (sum(e for _, e in m), tuple((ranks[g], e) for g, e in m))
 
-        return sorted(self.terms.items(), key=key)
+        return sorted(((m, c) for (m,), c in _gather(self.terms.items()).items()), key=key)
 
     # ------------------------------------------------------------------
     # serialization: {"N":…, "terms":[{"mono":[[i,j,exp]…], "coeff":[…]}]}

@@ -70,7 +70,7 @@ def _random_element(order: GeneratorOrder, rng: random.Random) -> AlgebraElement
         if coeff.is_zero():
             coeff = HbarPoly((1,))
         add_term(terms, mono, coeff)
-    return AlgebraElement(order, terms)
+    return AlgebraElement.from_terms(order, terms)
 
 
 def engine_health(N: int = 4, cases: int = 1000, seed: int = 2024) -> list:

@@ -119,8 +119,6 @@ def cmd_compute_j(args) -> int:
         ]
         meta = {}
         hard = True
-    if not (args.semiclassical or args.compare):
-        meta.pop("semiclassical", None)
     strict_mismatch = False
     if args.compare and meta.get("semiclassical"):
         cmp = meta["semiclassical"]

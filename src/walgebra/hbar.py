@@ -3,9 +3,13 @@
 Coefficients are arbitrary-precision rationals: a polynomial is stored as
 a tuple indexed by hbar-power with trailing zeros stripped, each
 coefficient an int where it is integral and a Fraction otherwise, so
-equality of values is equality of representations.  The engine's own
-coefficients are all integers and never leave int arithmetic.  There is
-no floating point anywhere in this package.
+equality of values is equality of representations.  There is no floating
+point anywhere in this package.
+
+HbarPoly is the input and output form of a coefficient, not the engine's
+arithmetic: element terms hold one bare rational per hbar-degree
+(algebra.TermMap), and a polynomial is spread into them on the way in
+and gathered from them on the way out (JSON and rendering).
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@
 A rank-t module element represents a class in U ⊗ (C^N)^{⊗t} modulo the
 right action of the shifted nilpotent part.  Its terms map
 (PBW monomial, slot tuple, hbar-degree d) to a nonzero rational c, the
-term c * hbar^d * monomial ⊗ v_slots: c is an int where it is integral
-and a Fraction otherwise (see hbar._exact).  The slot tuple lists basis
-indices of the t tensor factors.  Only this module sees that format: the
-readers by_slots, coefficient_at and sorted_terms gather the degrees
-back into HbarPoly coefficients, and embed and from_json spread them.
+term c * hbar^d * monomial ⊗ v_slots, in the term format of
+algebra.TermMap.  The slot tuple lists basis indices of the t tensor
+factors.  An AlgebraElement's terms {(monomial, d): c} are the same
+format without the slots, so embed, by_slots and coefficient_at move
+terms between the two as they are; only sorted_terms and to_json gather
+the degrees into HbarPoly coefficients, and from_json spreads them.
 
 The generator order is the pyramid's default_order(), never passed in: one
 interned pyramid per N, one pair cache, used by every product (_add_product).
@@ -40,13 +41,15 @@ from .algebra import (
     AlgebraElement,
     AlgebraError,
     TermMap,
+    _gather,
     _mono_product,
     _mono_to_word,
+    _spread,
     add_term,
     gen_code,
     gen_ij,
 )
-from .hbar import HbarPoly, _exact
+from .hbar import HbarPoly
 from .pyramid import Pyramid
 
 REDUCTION_STEP_BUDGET = 10_000_000
@@ -56,47 +59,16 @@ class ReductionError(Exception):
     """Non-termination guard tripped or structural misuse."""
 
 
-def _spread(polys) -> dict:
-    """{(mono, slots, d): c} from pairs ((mono, slots), HbarPoly)."""
-    return {
-        (m, s, d): c
-        for (m, s), poly in polys
-        for d, c in enumerate(poly.coeffs)
-        if c
-    }
-
-
-def _gather(terms) -> dict:
-    """{(mono, slots): HbarPoly} from degree-keyed items ((mono, slots, d), c)."""
-    spread: dict = {}
-    for (m, s, d), c in terms:
-        spread.setdefault((m, s), {})[d] = c
-    out = {}
-    for key, by_degree in spread.items():
-        coeffs = [0] * (max(by_degree) + 1)
-        for d, c in by_degree.items():
-            coeffs[d] = c
-        out[key] = HbarPoly(coeffs)
-    return out
-
-
-def _exact_terms(terms: dict) -> dict:
-    """terms with every integral coefficient held as an int."""
-    if set(map(type, terms.values())) <= {int}:
-        return terms
-    return {k: _exact(c) for k, c in terms.items()}
-
-
 class ModuleElement(TermMap):
     """An element of U ⊗ (C^N)^{⊗t} / m^psi in reduced form, with terms
     {(monomial, slots, hbar-degree): nonzero rational}."""
 
-    __slots__ = ("pyramid", "t", "terms")
+    __slots__ = ("pyramid", "t")
 
     def __init__(self, pyramid: Pyramid, t: int, terms: dict):
         self.pyramid = pyramid
         self.t = t
-        self.terms = _exact_terms(terms)
+        TermMap.__init__(self, terms)
 
     @property
     def order(self):
@@ -115,8 +87,7 @@ class ModuleElement(TermMap):
         if el.order != pyramid.default_order():
             raise AlgebraError("%r is not the order of %r" % (el.order, pyramid))
         slots = tuple(slots)
-        terms = _spread(((m, slots), c) for m, c in el.terms.items())
-        return cls(pyramid, len(slots), terms)
+        return cls(pyramid, len(slots), {(m, slots, d): c for (m, d), c in el.terms.items()})
 
     @classmethod
     def zero(cls, pyramid: Pyramid, t: int) -> "ModuleElement":
@@ -143,33 +114,19 @@ class ModuleElement(TermMap):
     def _with(self, terms: dict) -> "ModuleElement":
         return ModuleElement(self.pyramid, self.t, terms)
 
-    def scale(self, q) -> "ModuleElement":
-        """Multiply by a rational or HbarPoly scalar."""
-        poly = q if isinstance(q, HbarPoly) else HbarPoly.const(q)
-        out: dict = {}
-        for (m, s, d), c in self.terms.items():
-            for e, r in enumerate(poly.coeffs):
-                if r:
-                    add_term(out, (m, s, d + e), c * r)
-        return self._with(out)
-
-    def keep(self, pred) -> "ModuleElement":
-        """The terms whose monomial satisfies pred."""
-        return self._with({k: c for k, c in self.terms.items() if pred(k[0])})
-
     def coefficient_at(self, slots) -> AlgebraElement:
         """The U-factor multiplying the given slot tuple (a full scan; use
         by_slots to visit every slot tuple)."""
         slots = tuple(slots)
-        polys = _gather(item for item in self.terms.items() if item[0][1] == slots)
-        return AlgebraElement(self.order, {m: c for (m, _), c in polys.items()})
+        terms = {(m, d): c for (m, s, d), c in self.terms.items() if s == slots}
+        return AlgebraElement(self.order, terms)
 
     def by_slots(self) -> dict:
         """{slot tuple: U-factor} over the slot support, keys sorted,
         built in one pass over the terms."""
         groups: dict = {}
-        for (m, s), c in _gather(self.terms.items()).items():
-            groups.setdefault(s, {})[m] = c
+        for (m, s, d), c in self.terms.items():
+            groups.setdefault(s, {})[(m, d)] = c
         return {s: AlgebraElement(self.order, groups[s]) for s in sorted(groups)}
 
     def slot_support(self):
@@ -268,10 +225,8 @@ def reduce_mod_m_psi(raw: ModuleElement, strategy: str = "stack") -> ModuleEleme
 
 def _add_product(out: dict, order, ma, mb, slots, d: int, c) -> None:
     """out += c * hbar^d * (ma·mb) ⊗ v_slots, ma·mb from the pair cache."""
-    for mono, poly in _mono_product(order, ma, mb).items():
-        for e, q in enumerate(poly.coeffs):
-            if q:
-                add_term(out, (mono, slots, d + e), q * c)
+    for (mono, e), q in _mono_product(order, ma, mb).items():
+        add_term(out, (mono, slots, d + e), q * c)
 
 
 def act_left(xi: AlgebraElement, m: ModuleElement) -> ModuleElement:
@@ -281,10 +236,8 @@ def act_left(xi: AlgebraElement, m: ModuleElement) -> ModuleElement:
     order = m.order
     out: dict = {}
     for (um, slots, d), c in m.terms.items():
-        for xm, xc in xi.terms.items():
-            for f, xq in enumerate(xc.coeffs):
-                if xq:
-                    _add_product(out, order, xm, um, slots, d + f, xq * c)
+        for (xm, f), xq in xi.terms.items():
+            _add_product(out, order, xm, um, slots, d + f, xq * c)
     return reduce_mod_m_psi(ModuleElement(m.pyramid, m.t, out))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import __version__
 
@@ -95,8 +96,12 @@ def validate_report_data(data: dict) -> None:
 
 def write_json(data, fh) -> None:
     """The package's one JSON layout: indent 1, sorted keys, UTF-8 text
-    and a final newline."""
-    json.dump(data, fh, indent=1, sort_keys=True, ensure_ascii=False)
+    and a final newline.  The encoder's small chunks are joined and
+    written 4096 at a time: one write per chunk is slow, and one write of
+    the whole text holds every chunk in memory at once."""
+    chunks = json.JSONEncoder(indent=1, sort_keys=True, ensure_ascii=False).iterencode(data)
+    while batch := "".join(islice(chunks, 4096)):
+        fh.write(batch)
     fh.write("\n")
 
 

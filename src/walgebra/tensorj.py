@@ -294,14 +294,15 @@ def semiclassical_limit(J: JMatrix) -> SemiclassicalJ:
     for ((a, l), (i, j)), c in J.entries.items():
         if not c.divisible_by_hbar():
             raise TensorJError("entry %r is not divisible by hbar" % (((a, l), (i, j)),))
-        first = c.divide_hbar().at_hbar_zero()
-        for mono, poly in first.terms.items():
+        for (mono, d), q in c.terms.items():
+            if d != 1:
+                continue
             exps = {e21: 0, e11: 0}
             for g, e in mono:
                 if g not in exps:
                     raise TensorJError("entry monomial leaves U(l): %r" % (mono,))
                 exps[g] = e
-            out.add((a, l), (i, j), exps[e21], exps[e11], poly.constant_term())
+            out.add((a, l), (i, j), exps[e21], exps[e11], q)
     return out
 
 
@@ -365,12 +366,11 @@ def semiclassical_from_asymptotics(N: int, basis: WhittakerBasis | None = None) 
                 continue
             lin, llin = asymptotic_parts(x, p)
             for i in range(1, N + 1):
-                for mono, c in lin.terms.items():
-                    (g, _e), = mono
+                for (((g, _e),), _d), c in lin.terms.items():
                     a, col = gen_ij(N, g)
                     if col == i:
-                        out.add((a, l), (i, j), 0, 0, -c.constant_term())
-                for mono, c in llin.terms.items():
+                        out.add((a, l), (i, j), 0, 0, -c)
+                for (mono, _d), c in llin.terms.items():
                     g, _ = mono[0]
                     a, col = gen_ij(N, g)
                     if col != i:
@@ -378,7 +378,7 @@ def semiclassical_from_asymptotics(N: int, basis: WhittakerBasis | None = None) 
                     exps = {e21: 0, e11: 0}
                     for gg, ee in mono[1:]:
                         exps[gg] = ee
-                    out.add((a, l), (i, j), exps[e21], exps[e11], -c.constant_term())
+                    out.add((a, l), (i, j), exps[e21], exps[e11], -c)
     return out
 
 

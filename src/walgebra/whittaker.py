@@ -55,8 +55,7 @@ def in_l(p: Pyramid):
 
 def l_constant_part(x: AlgebraElement, p: Pyramid) -> AlgebraElement:
     """Terms whose monomials use only E_21 and E_11 (including the unit)."""
-    keep = in_l(p)
-    return AlgebraElement(x.order, {m: c for m, c in x.terms.items() if keep(m)})
+    return x.keep(in_l(p))
 
 
 def asymptotic_parts(x: AlgebraElement, p: Pyramid):
@@ -66,13 +65,12 @@ def asymptotic_parts(x: AlgebraElement, p: Pyramid):
     b_codes = p.b_codes()
     linear: dict = {}
     l_linear: dict = {}
-    for m, c in x.terms.items():
-        c0 = c.at_hbar_zero()
-        if c0.is_zero():
+    for (m, d), c in x.terms.items():
+        if d:
             continue
         total = sum(e for _, e in m)
         if total == 1:
-            linear[m] = c0
+            linear[(m, 0)] = c
             continue
         if (
             len(m) >= 2
@@ -80,7 +78,7 @@ def asymptotic_parts(x: AlgebraElement, p: Pyramid):
             and m[0][1] == 1
             and all(g in l_codes for g, _ in m[1:])
         ):
-            l_linear[m] = c0
+            l_linear[(m, 0)] = c
     return AlgebraElement(x.order, linear), AlgebraElement(x.order, l_linear)
 
 

@@ -60,9 +60,7 @@ def test_gen_codes_round_trip():
 def test_sorted_product_is_fixed(lex4):
     # E12 * E21 is already ordered under lex (E12 ranked before E21)
     prod = E(lex4, 1, 2) * E(lex4, 2, 1)
-    assert prod.terms == {
-        ((gen_code(4, 1, 2), 1), (gen_code(4, 2, 1), 1)): HbarPoly((1,))
-    }
+    assert prod.terms == {(((gen_code(4, 1, 2), 1), (gen_code(4, 2, 1), 1)), 0): 1}
 
 
 def test_single_rewrite(lex4):
@@ -87,7 +85,7 @@ def test_unit_law_random(lex4):
 
 def test_powers_collapse(lex4):
     sq = E(lex4, 1, 2) * E(lex4, 1, 2)
-    assert sq.terms == {((gen_code(4, 1, 2), 2),): HbarPoly((1,))}
+    assert sq.terms == {(((gen_code(4, 1, 2), 2),), 0): 1}
 
 
 def test_commutator_structure_constants(lex4):
@@ -199,6 +197,16 @@ def test_scale_and_purge(lex4):
     assert a.scale(0).is_zero()
     assert a.scale(Fraction(2, 3)).scale(Fraction(3, 2)) == a
     assert (a - a).is_zero()
+    # coefficients are bare rationals, an int exactly where integral
+    key = (((gen_code(4, 1, 2), 1),), 0)
+    half = a.scale(Fraction(1, 2))
+    assert half.terms == {key: Fraction(1, 2)}
+    assert type(half.terms[key]) is Fraction
+    for whole in (half + half, half.scale(2)):
+        assert whole == a
+        assert type(whole.terms[key]) is int
+    # cancelling terms drop their key, one hbar-degree at a time
+    assert (a.scale(HbarPoly((1, 1))) - a).terms == {(((gen_code(4, 1, 2), 1),), 1): 1}
 
 
 def test_normal_order_step_budget(monkeypatch):

@@ -125,10 +125,14 @@ def test_report_round_trip(tmp_path):
         pyramid="subreg:4",
         checks=[{"name": "x", "status": "pass", "witness": None, "seconds": 0.01}],
         order_fingerprint="abc",
-        meta={"k": [1, 2]},
+        meta={"k": [1, 2], "many": list(range(5000)), "text": "ℏ"},
     )
     path = tmp_path / "rep.json"
     save_fixture(rep, str(path))
+    # the text spans several write batches and keeps the one-shot layout
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        rep.to_json(), indent=1, sort_keys=True, ensure_ascii=False
+    ) + "\n"
     back = load_fixture(str(path))
     assert back.to_json() == rep.to_json()
     assert back.comparison_payload() == rep.comparison_payload()

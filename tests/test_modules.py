@@ -310,7 +310,7 @@ def _fuse_reference(a, b):
     for (ym, yslots), yc in b.sorted_terms():
         moved = transport(a, [g for g, e in ym for _ in range(e)])
         for (um, uslots), uc in moved.sorted_terms():
-            lifted = AlgebraElement(order, {um: uc * yc})
+            lifted = AlgebraElement.from_terms(order, {um: uc * yc})
             total = total + ModuleElement.embed(lifted, p, uslots + yslots)
     return reduce_mod_m_psi(total)
 

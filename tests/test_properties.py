@@ -158,13 +158,13 @@ def _word_matrix(rho, N, word, h):
 
 
 def _terms_matrix(rho, N, terms, h):
-    """sum over the PBW terms of c_m(h) * rho(m)."""
+    """sum over the PBW terms of c * h^d * rho(m)."""
     n = len(rho(N, 0, h))
     total = _zero(n)
-    for mono, c in terms.items():
+    for (mono, d), c in terms.items():
         word = [g for g, e in mono for _ in range(e)]
         m = _word_matrix(rho, N, word, h)
-        ch = c.evaluate(h)
+        ch = c * h**d
         total = [[t + ch * x for t, x in zip(rt, rm)] for rt, rm in zip(total, m)]
     return total
 
@@ -174,6 +174,9 @@ def _terms_matrix(rho, N, terms, h):
 @given(st.lists(st.integers(0, 8), max_size=5))
 def test_normal_order_word_matches_matrix_representations(word):
     pbw = normal_order_word(ORDER3, word)
+    # each rewrite that shortens the word by one letter costs one hbar
+    for mono, d in pbw:
+        assert d == len(word) - sum(e for _, e in mono)
     for rho in (rho_vector, rho_tensor):
         for h in HBAR_VALUES:
             assert _terms_matrix(rho, 3, pbw, h) == _word_matrix(rho, 3, word, h)
