@@ -1,16 +1,18 @@
 """Exact symbolic calculus in the asymptotic enveloping algebra of gl_N.
 
-The package keeps every computation over the rationals: coefficients are
-polynomials in the deformation parameter hbar whose coefficients are ints
-where integral and Fractions otherwise, and all products are rewritten
-into PBW normal form with respect to an explicit total order on the
-matrix-unit generators.  Module elements key each term by
-(monomial, slots, hbar-degree) and hold a bare rational, so their hot
-loops build no polynomial objects.  On top of that core it builds
-pyramid combinatorics, the degree-filtered invariants T^(r) of
-Brundan-Kleshchev type, Whittaker vectors for the vector representation,
-the wonderbolic 2-form and its inverse, and the tensor-structure matrix J
-together with its first order in hbar.
+The package keeps every computation over the rationals, with
+coefficients in Q[hbar].  Algebra elements key each term by
+(monomial, hbar-degree) and module elements by (monomial, slots,
+hbar-degree); both hold a bare rational per term, an int where integral
+and a Fraction otherwise, so their hot loops build no polynomial
+objects.  HbarPoly, the polynomial in hbar, appears only at the edges:
+scalars, coefficient queries, JSON and rendering.  All products are
+rewritten into PBW normal form with respect to an explicit total order
+on the matrix-unit generators.  On top of that core it builds pyramid combinatorics, the
+degree-filtered invariants T^(r) of Brundan-Kleshchev type, Whittaker
+vectors for the vector representation, the wonderbolic 2-form and its
+inverse, and the tensor-structure matrix J together with its first
+order in hbar.
 """
 
 __version__ = "0.1.0"

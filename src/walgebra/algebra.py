@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 
-from . import hbar as hb
 from .hbar import HbarPoly, _exact
 
 NORMAL_ORDER_STEP_BUDGET = 10_000_000
@@ -391,11 +390,6 @@ class AlgebraElement(TermMap):
             if best is None or d > best:
                 best = d
         return best
-
-    def coefficient(self, mono) -> HbarPoly:
-        mono = tuple(mono)
-        found = _gather(item for item in self.terms.items() if item[0][0] == mono)
-        return found.get((mono,), hb.ZERO)
 
     def monomials(self):
         return {m for m, _ in self.terms}

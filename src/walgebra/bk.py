@@ -49,25 +49,28 @@ diagonal, so this is not the identity on matrix units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import AlgebraElement, add_term
 from .pyramid import Pyramid
 
 _memo: dict = {}
 
 
-@dataclass(frozen=True)
 class TGenerator:
-    """A computed T-element together with its defining data."""
+    """A computed T-element together with its defining data.  Immutable,
+    because truncated_t hands the same memoized object to every caller."""
 
-    pyramid: Pyramid
-    truncation: int
-    i: int
-    j: int
-    x: int
-    r: int
-    value: AlgebraElement
+    __slots__ = ("pyramid", "truncation", "i", "j", "x", "r", "value")
+
+    def __init__(self, pyramid: Pyramid, truncation: int, i: int, j: int, x: int, r: int,
+                 value: AlgebraElement):
+        for name, val in zip(self.__slots__, (pyramid, truncation, i, j, x, r, value)):
+            object.__setattr__(self, name, val)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TGenerator is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TGenerator is immutable")
 
     def label(self) -> str:
         pre = "" if self.truncation == 0 else "[k=%d]" % self.truncation

@@ -8,6 +8,13 @@ Subcommands:
   check-omega       the wonderbolic form and both j_c constructions
   selftest          engine health plus the identity suites at one N
 
+Each command imports the layers it runs.  Importing this module loads
+only what compute-T needs (hbar, algebra, pyramid, bk, render, reports);
+the other commands import their suites from checks, and through it
+modules, whittaker, geometry and tensorj, inside their own functions.
+A cold walg process compiles or loads every module it imports, so a
+compute-T never pays for the verification layers.
+
 Exit codes: 0 on success; 1 on hard verification failure or, under
 --strict, on any failed check or comparison mismatch; 2 on usage errors,
 which include input rejected before any computation: a bad pyramid
@@ -22,16 +29,6 @@ import sys
 
 from . import __version__
 from .bk import _check_args, truncated_t
-from .checks import (
-    engine_health,
-    fusion_suite,
-    generator_identity_suite,
-    j_suite,
-    omega_suite,
-    recursion_suite,
-    whittaker_suite,
-)
-from .geometry import GeometryError
 from .pyramid import Pyramid, PyramidError
 from .render import render_algebra
 from .reports import VerificationReport, write_json
@@ -76,6 +73,8 @@ def cmd_compute_t(args) -> int:
 
 
 def cmd_verify_whittaker(args) -> int:
+    from .checks import whittaker_suite
+
     p = Pyramid.subregular(args.N)
     try:
         checks, meta = whittaker_suite(args.N, canonical=args.canonical)
@@ -99,6 +98,8 @@ def cmd_verify_whittaker(args) -> int:
 
 
 def cmd_compute_j(args) -> int:
+    from .checks import j_suite
+
     p = Pyramid.subregular(args.N)
     try:
         checks, meta = j_suite(args.N, compare=args.compare or args.semiclassical)
@@ -151,6 +152,8 @@ def cmd_compute_j(args) -> int:
 
 
 def cmd_check_omega(args) -> int:
+    from .checks import omega_suite
+
     p = Pyramid.subregular(args.N)
     checks, rep = omega_suite(args.N)
     report = VerificationReport(
@@ -166,6 +169,16 @@ def cmd_check_omega(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .checks import (
+        engine_health,
+        fusion_suite,
+        generator_identity_suite,
+        j_suite,
+        omega_suite,
+        recursion_suite,
+        whittaker_suite,
+    )
+
     p = Pyramid.subregular(args.N)
     checks = []
     checks += engine_health(min(args.N, 4), cases=args.cases)
@@ -254,7 +267,7 @@ def _check_input(args) -> None:
         return
     Pyramid.subregular(args.N)
     if args.command == "check-omega" and args.N < 3:
-        raise GeometryError("check-omega needs N >= 3")
+        raise ValueError("check-omega needs N >= 3")
     if args.command == "selftest" and args.cases < 1:
         raise ValueError("--cases must be at least 1, got %d" % args.cases)
 
@@ -264,7 +277,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_input(args)
-    except (PyramidError, GeometryError, ValueError) as exc:
+    except (PyramidError, ValueError) as exc:
         parser.error(str(exc))
     return args.func(args)
 

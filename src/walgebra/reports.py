@@ -11,7 +11,6 @@ order-dependent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import islice
 
 from . import __version__
@@ -25,15 +24,17 @@ _REQUIRED = ("command", "N", "pyramid", "engine_version", "order_fingerprint", "
 _CHECK_KEYS = {"name", "status", "witness", "seconds"}
 
 
-@dataclass
 class VerificationReport:
-    command: str
-    N: int
-    pyramid: str
-    checks: list
-    order_fingerprint: str
-    meta: dict = field(default_factory=dict)
-    engine_version: str = __version__
+    def __init__(self, command: str, N: int, pyramid: str, checks: list,
+                 order_fingerprint: str, meta: dict | None = None,
+                 engine_version: str = __version__):
+        self.command = command
+        self.N = N
+        self.pyramid = pyramid
+        self.checks = checks
+        self.order_fingerprint = order_fingerprint
+        self.meta = {} if meta is None else meta
+        self.engine_version = engine_version
 
     def ok(self) -> bool:
         return all(c["status"] == "pass" for c in self.checks)

@@ -52,7 +52,6 @@ row(y), and everything else is higher order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraElement, add_term, gen_ij
@@ -73,16 +72,18 @@ def _check_rank(N: int, got: int):
         raise TensorJError("input is over N=%d, expected N=%d" % (got, N))
 
 
-@dataclass
 class JMatrix:
     """Entries c_ij^al of J - id, plus the canonical pair generators
     modulo b: pair_generators[(i, j)] is pi(g_ij), which equals
     1 ⊗ v_i ⊗ v_j (see the module docstring)."""
 
-    pyramid: Pyramid
-    entries: dict  # ((a, l), (i, j)) -> AlgebraElement in U(l)
-    pair_generators: dict  # (i, j) -> pi(g_ij) = 1 ⊗ v_i ⊗ v_j, a rank-2 ModuleElement
-    basis: WhittakerBasis
+    def __init__(self, pyramid: Pyramid, entries: dict, pair_generators: dict,
+                 basis: WhittakerBasis):
+        self.pyramid = pyramid
+        self.entries = entries  # ((a, l), (i, j)) -> AlgebraElement in U(l)
+        # (i, j) -> pi(g_ij) = 1 ⊗ v_i ⊗ v_j, a rank-2 ModuleElement
+        self.pair_generators = pair_generators
+        self.basis = basis
 
     @property
     def N(self) -> int:
@@ -193,12 +194,12 @@ def j_structure_report(J: JMatrix) -> dict:
 # ----------------------------------------------------------------------
 # the first hbar-order
 # ----------------------------------------------------------------------
-@dataclass
 class SemiclassicalJ:
     """Entries as commuting polynomials in (x21, x11): {(p, q): coeff}."""
 
-    N: int
-    entries: dict = field(default_factory=dict)
+    def __init__(self, N: int, entries: dict | None = None):
+        self.N = N
+        self.entries = {} if entries is None else entries
 
     def add(self, row, col, x21_exp: int, x11_exp: int, coeff):
         coeff = Fraction(coeff)

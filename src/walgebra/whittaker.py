@@ -22,8 +22,6 @@ error rather than data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import AlgebraElement, GeneratorOrder, gen_code, gen_ij
 from .bk import truncated_t
 from .hbar import HbarPoly
@@ -196,15 +194,16 @@ def build_tilde_v(N: int, j: int, v1_exponent: str | None = None):
     )
 
 
-@dataclass
 class WhittakerBasis:
     """The N generating invariant vectors, indexed by leading slot."""
 
-    pyramid: Pyramid
-    vectors: dict  # leading slot -> ModuleElement
-    canonical: bool = False
-    conventions: dict = field(default_factory=dict)
-    change_log: list = field(default_factory=list)
+    def __init__(self, pyramid: Pyramid, vectors: dict, canonical: bool = False,
+                 conventions: dict | None = None, change_log: list | None = None):
+        self.pyramid = pyramid
+        self.vectors = vectors  # leading slot -> ModuleElement
+        self.canonical = canonical
+        self.conventions = {} if conventions is None else conventions
+        self.change_log = [] if change_log is None else change_log
 
     @property
     def N(self) -> int:

@@ -192,6 +192,19 @@ def test_memoization_returns_same_object():
     assert a is b
 
 
+def test_t_generator_is_immutable():
+    # the memo shares one object between callers, so it must not change
+    t = t_element(Pyramid.subregular(4), 2, 2, 1, 2)
+    value = t.value
+    with pytest.raises(AttributeError):
+        t.value = AlgebraElement.zero(value.order)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    with pytest.raises(AttributeError):
+        del t.r
+    assert t.value is value and t.r == 2
+
+
 # ----------------------------------------------------------------------
 # truncated_t sums the chains suffix-first; the oracle below multiplies
 # every chain of chain_sum out from the left, with the sign product

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import walgebra
 from walgebra.algebra import AlgebraElement
 from walgebra.bk import t_element
 from walgebra.cli import main
@@ -81,16 +84,22 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["compute-T", "--pyramid", "subreg:3"],
-        ["compute-J", "--N", "1"],
-        ["selftest", "--N", "1"],
-        ["verify-whittaker", "--N", "1"],
-        ["check-omega", "--N", "2"],
-        ["compute-T", "--pyramid", "3,1,2", "--i", "1", "--j", "1", "--x", "0", "--r", "1"],
-        ["compute-T", "--pyramid", "1,2,1", "--i", "5", "--j", "1", "--x", "0", "--r", "1"],
-        ["selftest", "--N", "3", "--cases", "0"],
+        (["compute-T", "--pyramid", "subreg:3"], "the following arguments are required"),
+        (["compute-J", "--N", "1"], "subregular pyramid needs N >= 2"),
+        (["selftest", "--N", "1"], "subregular pyramid needs N >= 2"),
+        (["verify-whittaker", "--N", "1"], "subregular pyramid needs N >= 2"),
+        (["check-omega", "--N", "2"], "check-omega needs N >= 3"),
+        (
+            ["compute-T", "--pyramid", "3,1,2", "--i", "1", "--j", "1", "--x", "0", "--r", "1"],
+            "heights are not unimodal",
+        ),
+        (
+            ["compute-T", "--pyramid", "1,2,1", "--i", "5", "--j", "1", "--x", "0", "--r", "1"],
+            "row indices (5,1) out of range",
+        ),
+        (["selftest", "--N", "3", "--cases", "0"], "--cases must be at least 1"),
     ],
     ids=[
         "missing-args",
@@ -103,13 +112,61 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
         "selftest-cases-0",
     ],
 )
-def test_usage_error_exit_code(capsys, argv):
+def test_usage_error_exit_code(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err
+    assert "error: " + message in captured.err
+
+
+# compute-T needs only these; every other layer is imported by the
+# command that runs it
+COMPUTE_T_MODULES = [
+    "walgebra",
+    "walgebra.algebra",
+    "walgebra.bk",
+    "walgebra.cli",
+    "walgebra.hbar",
+    "walgebra.pyramid",
+    "walgebra.render",
+    "walgebra.reports",
+]
+
+_FOOTPRINT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "walgebra" or m.startswith("walgebra."))
+
+import walgebra.cli
+seen = {"import": loaded(), "import_dataclasses": "dataclasses" in sys.modules}
+code = walgebra.cli.main(
+    ["compute-T", "--pyramid", "subreg:4", "--i", "2", "--j", "2", "--x", "1", "--r", "2"]
+)
+seen.update(code=code, run=loaded(), run_dataclasses="dataclasses" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_import_footprint_of_compute_t():
+    # -S: no site-packages .pth file may pre-import anything
+    src = os.path.dirname(os.path.dirname(os.path.abspath(walgebra.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _FOOTPRINT, src],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == COMPUTE_T_MODULES
+    assert not seen["import_dataclasses"]
+    assert seen["code"] == 0
+    assert seen["run"] == COMPUTE_T_MODULES
+    assert not seen["run_dataclasses"]
 
 
 def test_selftest_small(capsys):
@@ -136,6 +193,16 @@ def test_report_round_trip(tmp_path):
     back = load_fixture(str(path))
     assert back.to_json() == rep.to_json()
     assert back.comparison_payload() == rep.comparison_payload()
+
+
+def test_report_defaults():
+    def make():
+        return VerificationReport("selftest", 3, "subreg:3", [], "abc")
+
+    rep = make()
+    assert rep.meta == {}
+    assert rep.meta is not make().meta
+    assert rep.engine_version == walgebra.__version__
 
 
 def test_report_schema_validation(tmp_path):

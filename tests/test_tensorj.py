@@ -314,6 +314,19 @@ def test_semiclassical_poly_render():
     assert SemiclassicalJ.render_poly(poly) == "-2 + x21·x11^2"
 
 
+def test_semiclassical_value_equality():
+    def limit(N, c):
+        s = SemiclassicalJ(N)
+        s.add((1, 4), (2, 1), 1, 2, c)
+        return s
+
+    assert limit(4, 1) == limit(4, 1)
+    assert limit(4, 1) != limit(5, 1)
+    assert limit(4, 1) != limit(4, 2)
+    assert SemiclassicalJ(4) == SemiclassicalJ(4, {})
+    assert SemiclassicalJ(4).entries is not SemiclassicalJ(4).entries
+
+
 def test_n5_printed_signs_refuted_by_gaussian_residual():
     # third independent route to the N=5 sign finding: correcting the raw
     # fusion of v_2 with itself by the *printed* (statement-signed) first

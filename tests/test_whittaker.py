@@ -12,6 +12,7 @@ from walgebra.modules import (
 )
 from walgebra.pyramid import Pyramid
 from walgebra.whittaker import (
+    WhittakerBasis,
     WhittakerError,
     asymptotic_parts,
     build_basis,
@@ -88,6 +89,16 @@ def test_canonical_basis_shares_one_order():
     assert p is Pyramid.subregular(5)
     assert {id(basis.vector(i).order) for i in range(1, 6)} == {id(p.default_order())}
     assert truncated_t(p, 1, 2, 2, 1, 3).value.order is p.default_order()
+
+
+def test_basis_defaults_are_fresh_per_instance():
+    p = Pyramid.subregular(3)
+    a = WhittakerBasis(p, {})
+    b = WhittakerBasis(p, {})
+    assert a.canonical is False
+    assert a.conventions == {} and a.change_log == []
+    assert a.conventions is not b.conventions
+    assert a.change_log is not b.change_log
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
