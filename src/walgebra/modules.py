@@ -266,7 +266,9 @@ def ad_action(xi_ij, m: ModuleElement) -> ModuleElement:
 
 
 def is_whittaker(m: ModuleElement):
-    """Check invariance under the shifted m-action.
+    """Check invariance under the shifted m-action of every element of
+    m_basis(): the full-m oracle.  The vector-building gates in whittaker
+    check only the Lie generators of m, which decides the same thing.
 
     Returns (True, None, None) or (False, offending (i,j), residue).
     """

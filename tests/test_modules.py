@@ -339,3 +339,46 @@ def test_fuse_matches_unshared_transport(N):
     pairs += [(basis.vector(i), basis.vector(j)) for i, j in ((1, 1), (2, 1), (N, 2))]
     for a, b in pairs:
         assert fuse(a, b) == _fuse_reference(a, b)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_ad_is_a_lie_map_on_m(N):
+    # ad x (ad y v) - ad y (ad x v) = ad [x, y] v for x, y in m, with
+    # [E_ij, E_kl] = d_jk E_il - d_li E_kj: what lets the whittaker gates
+    # check only the Lie generators of m
+    p = Pyramid.subregular(N)
+    o = p.default_order()
+    m = p.m_basis()
+    rng = random.Random(200 + N)
+
+    def random_element(rank):
+        x = AlgebraElement.zero(o)
+        for _ in range(rng.randint(2, 4)):
+            term = H(o, rng.randint(0, 1), rng.randint(-3, 3) or 1)
+            for _ in range(rng.randint(1, 3)):
+                term = term * E(o, rng.randint(1, N), rng.randint(1, N))
+            x = x + term
+        slots = tuple(rng.randint(1, N) for _ in range(rank))
+        return reduce_mod_m_psi(ModuleElement.embed(x, p, slots))
+
+    basis = canonical_basis(N)
+    vectors = [basis.vector(i) for i in range(1, N + 1)]
+    vectors += [random_element(rank) for rank in (1, 1, 1, 2, 2)]
+    nontrivial = 0
+    for v in vectors:
+        ad_v = {x: ad_action(x, v) for x in m}
+        zero = ModuleElement.zero(p, v.t)
+        for x in m:
+            for y in m:
+                lhs = ad_action(x, ad_v[y]) - ad_action(y, ad_v[x])
+                (i, j), (k, l) = x, y
+                rhs = zero
+                if j == k:
+                    rhs = rhs + ad_v[(i, l)]
+                if l == i:
+                    rhs = rhs - ad_v[(k, j)]
+                assert lhs == rhs, (x, y)
+                nontrivial += not lhs.is_zero()
+    # the canonical vectors are invariant, so the random elements carry it;
+    # m is abelian at N = 3
+    assert nontrivial >= (10 if N > 3 else 0)

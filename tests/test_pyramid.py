@@ -103,8 +103,9 @@ def test_psi_subregular():
 
 
 def test_psi_vanishes_on_m_brackets():
-    # psi([x,y]) = 0 whenever [x,y] lands back in m: psi is a character
-    for N in (3, 4, 5):
+    # psi([x,y]) = 0 whenever [x,y] lands back in m: psi is a character,
+    # which lets the whittaker gates check only the Lie generators of m
+    for N in range(3, 13):
         p = Pyramid.subregular(N)
         psi = p.psi()
         m = p.m_basis()
@@ -117,6 +118,51 @@ def test_psi_vanishes_on_m_brackets():
                 if l == i:
                     val -= psi(k, j) if p.in_m(k, j) else Fraction(0)
                 assert val == 0
+
+
+def _m_bracket(p, x, y):
+    """[E_ij, E_kl] = d_jk E_il - d_li E_kj for x, y in m: the one matrix
+    unit that survives (up to sign), or None when the bracket is 0."""
+    (i, j), (k, l) = x, y
+    if j == k:
+        assert l != i and p.in_m(i, l)
+        return (i, l)
+    if l == i:
+        assert p.in_m(k, j)
+        return (k, j)
+    return None
+
+
+@pytest.mark.parametrize("N", range(3, 13))
+def test_m_generators_generate_m(N):
+    # index arithmetic only: the gate set is N - 1 matrix units outside
+    # [m, m], and its Lie closure is all of m
+    p = Pyramid.subregular(N)
+    m = p.m_basis()
+    gens = p.m_generators()
+    assert len(gens) == N - 1
+    assert set(gens) == {(3, 1), (3, 2)} | {(k + 1, k) for k in range(3, N)}
+    closure = set(gens)
+    frontier = set(gens)
+    while frontier:
+        new = set()
+        for x in frontier:
+            for y in gens:
+                for a, b in ((x, y), (y, x)):
+                    br = _m_bracket(p, a, b)
+                    if br and br not in closure:
+                        new.add(br)
+        closure |= new
+        frontier = new
+    assert closure == set(m)
+    brackets = {_m_bracket(p, x, y) for x in m for y in m} - {None}
+    assert brackets == set(m) - set(gens)
+
+
+def test_m_generators_of_general_pyramid():
+    # outside [m, m] means one column step down: the degree -1 part of m
+    p = Pyramid((1, 3, 2, 1))
+    assert p.m_generators() == tuple(x for x in p.m_basis() if p.degree(*x) == -1)
 
 
 def test_modified_gen():

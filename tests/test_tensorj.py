@@ -101,6 +101,11 @@ def J8():
 
 
 @pytest.fixture(scope="module")
+def J9():
+    return compute_J(9)
+
+
+@pytest.fixture(scope="module")
 def oracle(J3, J4, J5, J6):
     """{N: (entries, full pair generators)} of the oracle, on the bases of
     the J fixtures."""
@@ -293,6 +298,13 @@ def test_semiclassical_n7_n8_is_jc_plus_positive(J7, J8):
         assert limit == semiclassical_closed_form(J.N, "positive")
 
 
+def test_semiclassical_n9_is_jc_plus_positive(J9):
+    limit = semiclassical_limit(J9)
+    assert limit.constant_part() == semiclassical_closed_form(9, "statement").constant_part()
+    assert limit == semiclassical_closed_form(9, "positive")
+    assert limit == semiclassical_from_asymptotics(9, J9.basis)
+
+
 def test_asymptotic_recomputation_agrees(J3, J4):
     for J in (J3, J4):
         assert semiclassical_from_asymptotics(J.N, J.basis) == semiclassical_limit(J)
@@ -419,6 +431,13 @@ def test_j7_j8_golden_digests(J7, J8):
     )
     assert _digest(J8.to_json()) == (
         "e92cade8cbeafc8e9dacd8293fba862e638b8cceba864ad36a2dcbf563d892a8"
+    )
+
+
+def test_j9_golden_digest(J9):
+    # recorded at commit 2b9a342, with the basis gates checking all of m
+    assert _digest(J9.to_json()) == (
+        "266e4c70f9b0c1a018b08d2c519975e8655abf8f74c625e7a8583cc824858dd8"
     )
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from walgebra.algebra import AlgebraElement
@@ -12,8 +14,11 @@ from walgebra.modules import (
 )
 from walgebra.pyramid import Pyramid
 from walgebra.whittaker import (
+    V1_EXPONENT_CANDIDATES,
     WhittakerBasis,
     WhittakerError,
+    _invariant_on_generators,
+    _tilde_v_candidate,
     asymptotic_parts,
     build_basis,
     build_tilde_v,
@@ -245,6 +250,57 @@ def test_canonical_basis_properties(N):
         assert ok
         # b-reduction keeps exactly the leading term
         assert reduce_mod_b_left(vec) == ModuleElement.basis_vector(p, i)
+
+
+def _same_verdict(vec):
+    """The generator gate and the full-m check agree; returns the verdict."""
+    ok, xi, res = is_whittaker(vec)
+    gate_ok, gate_xi, gate_res = _invariant_on_generators(vec)
+    assert gate_ok == ok
+    if not gate_ok:
+        assert gate_xi in vec.pyramid.m_generators()
+        assert not gate_res.is_zero()
+    return ok
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_generator_gate_agrees_with_full_check(N):
+    p = Pyramid.subregular(N)
+    o = p.default_order()
+    rng = random.Random(300 + N)
+    basis = canonical_basis(N)
+    assert basis.conventions == {"v1_exponent": "N-i-2"}
+    rejected = 0
+    for i in range(1, N + 1):
+        vec = basis.vector(i)
+        assert _same_verdict(vec)
+        for _ in range(3):
+            x = H(o, rng.randint(0, 1), rng.choice((1, -1, 2)))
+            for _ in range(rng.randint(0, 2)):
+                x = x * E(o, rng.randint(1, N), rng.randint(1, N))
+            bump = reduce_mod_m_psi(ModuleElement.embed(x, p, (rng.randint(1, N),)))
+            rejected += not _same_verdict(vec + bump)
+    assert rejected >= N
+    # the v1 exponent convention the gate rejects
+    other, = (c for c in V1_EXPONENT_CANDIDATES if c != "N-i-2")
+    assert not _same_verdict(_tilde_v_candidate(N, N - 1, other))
+    with pytest.raises(WhittakerError):
+        build_tilde_v(N, N - 1, v1_exponent=other)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_negated_psi_rejects_printed_vectors(N, monkeypatch):
+    # with psi negated the printed vectors are not invariant (README, sign
+    # convention of criterion 8); only 1 ⊗ v_N does not see psi
+    psi = Pyramid.subregular(N).psi()
+    for key, val in psi.values.items():
+        monkeypatch.setitem(psi.values, key, -val)
+    assert _same_verdict(_tilde_v_candidate(N, 0, "N-i-2"))
+    for j in range(1, N):
+        for conv in V1_EXPONENT_CANDIDATES if j == N - 1 else ("N-i-2",):
+            assert not _same_verdict(_tilde_v_candidate(N, j, conv)), (j, conv)
+        with pytest.raises(WhittakerError):
+            build_tilde_v(N, j)
 
 
 def test_canonicalize_idempotent():
