@@ -4,9 +4,9 @@ The package keeps every computation over the rationals, with
 coefficients in Q[hbar].  Algebra elements key each term by
 (monomial, hbar-degree) and module elements by (monomial, slots,
 hbar-degree); both hold a bare rational per term, an int where integral
-and a Fraction otherwise, so their hot loops build no polynomial
-objects.  HbarPoly, the polynomial in hbar, appears only at the edges:
-scalars, coefficient queries, JSON and rendering.  All products are
+and a Fraction otherwise, and scalars are rationals, so the engine
+builds no polynomial objects.  HbarPoly, the polynomial in hbar, is only
+the JSON and rendering form of a coefficient.  All products are
 rewritten into PBW normal form with respect to an explicit total order
 on the matrix-unit generators.  On top of that core it builds pyramid combinatorics, the
 degree-filtered invariants T^(r) of Brundan-Kleshchev type, Whittaker

@@ -124,8 +124,8 @@ def _word_to_mono(word):
 def add_term(terms: dict, key, coeff) -> None:
     """terms[key] += coeff in place, dropping the key when the sum is zero.
 
-    One kernel for every term map of the package: the rationals, HbarPoly
-    and the element types are all falsy exactly at zero.
+    One kernel for every term map of the package: the rationals and the
+    element types are falsy exactly at zero.
     """
     acc = terms.get(key)
     s = coeff if acc is None else acc + coeff
@@ -190,36 +190,20 @@ def _mono_product(order: GeneratorOrder, ma, mb) -> dict:
     return hit
 
 
-def _spread(polys) -> dict:
-    """Degree-keyed terms {key + (d,): c} from pairs (key, HbarPoly), key a
-    tuple: how an HbarPoly coefficient enters a term map."""
-    return {key + (d,): c for key, poly in polys for d, c in enumerate(poly.coeffs) if c}
-
-
-def _gather(terms) -> dict:
-    """{key: HbarPoly} from degree-keyed items (key + (d,), c): how a
-    coefficient leaves a term map."""
-    by_key: dict = {}
-    for k, c in terms:
-        by_key.setdefault(k[:-1], {})[k[-1]] = c
-    return {
-        key: HbarPoly([by_d.get(d, 0) for d in range(max(by_d) + 1)])
-        for key, by_d in by_key.items()
-    }
-
-
 class TermMap:
     """The linear structure shared by the element types: a finite map
     terms = {key: nonzero rational}, the key ending in the hbar-degree d.
     AlgebraElement keys (monomial, d) and ModuleElement keys
     (monomial, slots, d).  A coefficient is an int where it is integral
     and a Fraction otherwise (see hbar._exact), so equal elements have
-    equal term maps.  HbarPoly coefficients enter through _spread and
-    leave through _gather, at the edges only.
+    equal term maps.  Scalars are rationals; a polynomial in hbar is an
+    edge type only: it leaves through sorted_terms (JSON and rendering)
+    and enters through from_terms and the from_json readers.
 
     A subclass supplies _check_compatible(other), which raises on mixed
-    ambient data, and _with(terms), which builds an element with the
-    same ambient data as self.
+    ambient data, _with(terms), which builds an element with the same
+    ambient data as self, and order, the generator order whose ranks
+    sort the monomials.
     """
 
     __slots__ = ("terms",)
@@ -249,18 +233,37 @@ class TermMap:
         return self + (-other)
 
     def scale(self, q):
-        """Multiply by a rational or HbarPoly scalar."""
-        parts = enumerate(q.coeffs) if isinstance(q, HbarPoly) else ((0, q),)
-        out: dict = {}
-        for e, r in parts:
-            if r:
-                for k, c in self.terms.items():
-                    add_term(out, k[:-1] + (k[-1] + e,), c * r)
-        return self._with(out)
+        """Multiply by a rational."""
+        if not q:
+            return self._with({})
+        return self._with({k: c * q for k, c in self.terms.items()})
+
+    def times_hbar(self, power: int = 1):
+        """Multiply by hbar^power (a negative power divides exactly)."""
+        return self._with({k[:-1] + (k[-1] + power,): c for k, c in self.terms.items()})
 
     def keep(self, pred):
         """The terms whose monomial satisfies pred."""
         return self._with({k: c for k, c in self.terms.items() if pred(k[0])})
+
+    def sorted_terms(self):
+        """[(key, HbarPoly)], one entry per term key without its degree
+        ((monomial,) or (monomial, slots)), the degrees gathered into one
+        polynomial: ordered by slots where the key has them, then total
+        degree, then rank sequence of the monomial."""
+        by_key: dict = {}
+        for k, c in self.terms.items():
+            by_key.setdefault(k[:-1], {})[k[-1]] = c
+        ranks = self.order.ranks
+
+        def rank_key(item):
+            m, *slots = item[0]
+            return (slots, sum(e for _, e in m), tuple((ranks[g], e) for g, e in m))
+
+        return [
+            (key, HbarPoly([by_d.get(d, 0) for d in range(max(by_d) + 1)]))
+            for key, by_d in sorted(by_key.items(), key=rank_key)
+        ]
 
 
 class AlgebraElement(TermMap):
@@ -285,9 +288,8 @@ class AlgebraElement(TermMap):
 
     @classmethod
     def scalar(cls, order, coeff) -> "AlgebraElement":
-        """A rational or HbarPoly scalar."""
-        poly = coeff if isinstance(coeff, HbarPoly) else HbarPoly.const(coeff)
-        return cls.from_terms(order, {(): poly})
+        """A rational scalar."""
+        return cls(order, {((), 0): coeff} if coeff else {})
 
     @classmethod
     def one(cls, order) -> "AlgebraElement":
@@ -300,7 +302,8 @@ class AlgebraElement(TermMap):
     @classmethod
     def from_terms(cls, order, raw: dict) -> "AlgebraElement":
         """From {monomial: HbarPoly}."""
-        return cls(order, _spread(((m,), c) for m, c in raw.items()))
+        terms = {(m, d): c for m, poly in raw.items() for d, c in enumerate(poly.coeffs) if c}
+        return cls(order, terms)
 
     # ------------------------------------------------------------------
     # structure
@@ -354,26 +357,11 @@ class AlgebraElement(TermMap):
         return diff.times_hbar(-1)
 
     # ------------------------------------------------------------------
-    # hbar manipulation
+    # queries
     # ------------------------------------------------------------------
-    def times_hbar(self, power: int = 1) -> "AlgebraElement":
-        return self._with({(m, d + power): c for (m, d), c in self.terms.items()})
-
-    def divide_hbar(self) -> "AlgebraElement":
-        """Exact division by hbar; raises if a term has degree 0."""
-        if not self.divisible_by_hbar():
-            raise ValueError("not divisible by hbar")
-        return self.times_hbar(-1)
-
     def divisible_by_hbar(self) -> bool:
         return all(d for _, d in self.terms)
 
-    def at_hbar_zero(self) -> "AlgebraElement":
-        return self._with({k: c for k, c in self.terms.items() if k[1] == 0})
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
     def kazhdan_degree(self, pyramid) -> float:
         """Filtration degree: deg E_ij = col(j)-col(i)+1 and deg hbar = 1.
 
@@ -408,24 +396,13 @@ class AlgebraElement(TermMap):
                 add_term(out, (m2, d + e), q * c)
         return AlgebraElement(new_order, out)
 
-    def sorted_terms(self):
-        """[(monomial, HbarPoly)] in a deterministic order (by rank sequence
-        of the monomial)."""
-        ranks = self.order.ranks
-
-        def key(item):
-            m, _ = item
-            return (sum(e for _, e in m), tuple((ranks[g], e) for g, e in m))
-
-        return sorted(((m, c) for (m,), c in _gather(self.terms.items()).items()), key=key)
-
     # ------------------------------------------------------------------
     # serialization: {"N":…, "terms":[{"mono":[[i,j,exp]…], "coeff":[…]}]}
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
         N = self.N
         terms = []
-        for m, c in self.sorted_terms():
+        for (m,), c in self.sorted_terms():
             terms.append(
                 {
                     "mono": [[*gen_ij(N, g), e] for g, e in m],
@@ -441,7 +418,7 @@ class AlgebraElement(TermMap):
         terms = {}
         for t in data["terms"]:
             mono = tuple((gen_code(order.N, i, j), e) for i, j, e in t["mono"])
-            terms[mono] = HbarPoly.from_json(t["coeff"])
+            terms[mono] = HbarPoly(t["coeff"])
         return cls.from_terms(order, terms)
 
     def __repr__(self):

@@ -6,10 +6,14 @@ coefficient an int where it is integral and a Fraction otherwise, so
 equality of values is equality of representations.  There is no floating
 point anywhere in this package.
 
-HbarPoly is the input and output form of a coefficient, not the engine's
-arithmetic: element terms hold one bare rational per hbar-degree
-(algebra.TermMap), and a polynomial is spread into them on the way in
-and gathered from them on the way out (JSON and rendering).
+HbarPoly is the edge form of a coefficient, not the engine's arithmetic:
+element terms hold one bare rational per hbar-degree (algebra.TermMap).
+A polynomial enters a term map only through AlgebraElement.from_terms
+and the two from_json readers, and leaves one only through
+TermMap.sorted_terms, for JSON and rendering.  The ring operations +, *,
+scale and shift have no caller in the package; the benchmark's tracer
+(perfbench/tracer.py) binds each of them by name, so they stay until it
+counts the bare term coefficients instead.
 """
 
 from __future__ import annotations
@@ -40,22 +44,6 @@ class HbarPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def const(cls, c) -> "HbarPoly":
-        return cls((c,))
-
-    @classmethod
-    def hbar(cls, power: int = 1, c=1) -> "HbarPoly":
-        """c * hbar^power."""
-        return cls((0,) * power + (c,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Top hbar-degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -73,12 +61,6 @@ class HbarPoly:
         for i, c in enumerate(b):
             out[i] += c
         return HbarPoly(out)
-
-    def __neg__(self) -> "HbarPoly":
-        return HbarPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "HbarPoly") -> "HbarPoly":
-        return self + (-other)
 
     def __mul__(self, other: "HbarPoly") -> "HbarPoly":
         a, b = self.coeffs, other.coeffs
@@ -104,43 +86,8 @@ class HbarPoly:
             return ZERO
         return HbarPoly((0,) * power + self.coeffs)
 
-    def divide_hbar(self) -> "HbarPoly":
-        """Exact division by hbar; raises if the constant term is nonzero."""
-        if self.coeffs and self.coeffs[0] != 0:
-            raise ValueError("not divisible by hbar: constant term %s" % self.coeffs[0])
-        return HbarPoly(self.coeffs[1:])
-
-    def coefficient(self, power: int) -> int | Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return 0
-
-    def constant_term(self) -> int | Fraction:
-        return self.coefficient(0)
-
-    def at_hbar_zero(self) -> "HbarPoly":
-        return HbarPoly((self.constant_term(),))
-
-    def hbar_part(self, power: int) -> "HbarPoly":
-        """The single component c_power * hbar^power."""
-        return HbarPoly((0,) * power + (self.coefficient(power),))
-
-    def divisible_by_hbar(self) -> bool:
-        return not self.coeffs or self.coeffs[0] == 0
-
-    def evaluate(self, value) -> int | Fraction:
-        value = _exact(value)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def to_json(self) -> list:
         return ["%d/%d" % (c.numerator, c.denominator) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data) -> "HbarPoly":
-        return cls(data)
 
     def __repr__(self):
         return "HbarPoly(%r)" % (self.coeffs,)
@@ -169,5 +116,3 @@ class HbarPoly:
 
 
 ZERO = HbarPoly()
-ONE = HbarPoly.const(1)
-HBAR = HbarPoly.hbar()

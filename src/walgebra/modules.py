@@ -7,8 +7,9 @@ term c * hbar^d * monomial ⊗ v_slots, in the term format of
 algebra.TermMap.  The slot tuple lists basis indices of the t tensor
 factors.  An AlgebraElement's terms {(monomial, d): c} are the same
 format without the slots, so embed, by_slots and coefficient_at move
-terms between the two as they are; only sorted_terms and to_json gather
-the degrees into HbarPoly coefficients, and from_json spreads them.
+terms between the two as they are.  Coefficients become polynomials in
+hbar only at the edge: TermMap.sorted_terms gathers them for to_json and
+rendering, and from_json reads them through AlgebraElement.from_json.
 
 The generator order is the pyramid's default_order(), never passed in: one
 interned pyramid per N, one pair cache, used by every product (_add_product).
@@ -41,15 +42,12 @@ from .algebra import (
     AlgebraElement,
     AlgebraError,
     TermMap,
-    _gather,
     _mono_product,
     _mono_to_word,
-    _spread,
     add_term,
     gen_code,
     gen_ij,
 )
-from .hbar import HbarPoly
 from .pyramid import Pyramid
 
 REDUCTION_STEP_BUDGET = 10_000_000
@@ -129,19 +127,6 @@ class ModuleElement(TermMap):
             groups.setdefault(s, {})[(m, d)] = c
         return {s: AlgebraElement(self.order, groups[s]) for s in sorted(groups)}
 
-    def slot_support(self):
-        return sorted({s for (_, s, _) in self.terms})
-
-    def sorted_terms(self):
-        """[((monomial, slots), HbarPoly)] in a deterministic order."""
-        ranks = self.order.ranks
-
-        def key(item):
-            (m, s), _ = item
-            return (s, sum(e for _, e in m), tuple((ranks[g], e) for g, e in m))
-
-        return sorted(_gather(self.terms.items()).items(), key=key)
-
     # ------------------------------------------------------------------
     # serialization: {"N":…, "t":…, "terms":[{"mono":…, "slots":…, "coeff":…}]}
     # ------------------------------------------------------------------
@@ -162,11 +147,14 @@ class ModuleElement(TermMap):
     def from_json(cls, data: dict, pyramid: Pyramid) -> "ModuleElement":
         if data["N"] != pyramid.N:
             raise AlgebraError("JSON rank mismatch")
-        polys = {}
+        by_slots: dict = {}
         for t in data["terms"]:
-            mono = tuple((gen_code(pyramid.N, i, j), e) for i, j, e in t["mono"])
-            polys[(mono, tuple(t["slots"]))] = HbarPoly.from_json(t["coeff"])
-        return cls(pyramid, data["t"], _spread(polys.items()))
+            by_slots.setdefault(tuple(t["slots"]), []).append(t)
+        terms = {}
+        for s, ts in by_slots.items():
+            u = AlgebraElement.from_json({"N": pyramid.N, "terms": ts}, pyramid.default_order())
+            terms.update(((m, s, d), c) for (m, d), c in u.terms.items())
+        return cls(pyramid, data["t"], terms)
 
     def __repr__(self):
         from .render import render_module

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 
-from . import hbar as hb
 from .algebra import AlgebraElement, GeneratorOrder, gen_code
 
 
@@ -36,8 +35,13 @@ class PyramidError(Exception):
 def _validate_heights(heights):
     if not heights:
         raise PyramidError("empty height sequence")
-    if any(int(q) != q or q <= 0 for q in heights):
-        raise PyramidError("column heights must be positive integers: %r" % (heights,))
+    for q in heights:
+        try:
+            ok = int(q) == q and q > 0
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise PyramidError("column heights must be positive integers: %r" % (heights,))
     # unimodal: weakly increasing, then weakly decreasing
     k = 0
     while k + 1 < len(heights) and heights[k] <= heights[k + 1]:
@@ -63,8 +67,9 @@ class Pyramid:
     )
 
     def __init__(self, heights):
-        heights = tuple(int(q) for q in heights)
+        heights = tuple(heights)
         _validate_heights(heights)
+        heights = tuple(map(int, heights))
         self.heights = heights
         self.N = sum(heights)
         self.n = max(heights)
@@ -219,10 +224,11 @@ class Pyramid:
         """Etilde_ij = (-1)^(col j - col i) (E_ij + delta_ij hbar rho_col(i))."""
         order = self.default_order()
         sign = -1 if (self._col[j] - self._col[i]) % 2 else 1
-        el = AlgebraElement.generator(order, i, j)
-        if i == j:
-            el = el + AlgebraElement.scalar(order, hb.HbarPoly.hbar(1, self.rho(self._col[i])))
-        return el.scale(sign)
+        terms = {(((gen_code(self.N, i, j), 1),), 0): sign}
+        shift = self.rho(self._col[i]) if i == j else 0
+        if shift:
+            terms[((), 1)] = shift
+        return AlgebraElement(order, terms)
 
     # ------------------------------------------------------------------
     # truncation
@@ -307,9 +313,6 @@ class CharacterPsi:
             return self.values[(i, j)]
         except KeyError:
             raise PyramidError("psi evaluated outside m at E[%d,%d]" % (i, j)) from None
-
-    def nonzero_count(self) -> int:
-        return sum(1 for v in self.values.values() if v)
 
     def support(self):
         return tuple(sorted(k for k, v in self.values.items() if v))

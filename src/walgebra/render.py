@@ -31,7 +31,7 @@ def render_algebra(el: AlgebraElement) -> str:
     if el.is_zero():
         return "0"
     parts = []
-    for m, c in el.sorted_terms():
+    for (m,), c in el.sorted_terms():
         cs = render_poly(c)
         ms = render_mono(el.N, m)
         if ms == "1":

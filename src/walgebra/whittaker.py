@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from .algebra import AlgebraElement, GeneratorOrder, gen_code, gen_ij
 from .bk import truncated_t
-from .hbar import HbarPoly
 from .modules import (
     ModuleElement,
     ad_action,
@@ -125,8 +124,8 @@ def t22_l_linear_closed_form(p: Pyramid, rho: int, mode: str) -> AlgebraElement:
     terms = {}
     for r in range(2, rho + 1):
         sign = (-1) ** r if mode == "alternating" else (-1) ** (rho - 1)
-        terms[_l_monomial(order, p.N, r, 1, rho - r)] = HbarPoly.const(sign)
-    return AlgebraElement.from_terms(order, terms)
+        terms[(_l_monomial(order, p.N, r, 1, rho - r), 0)] = sign
+    return AlgebraElement(order, terms)
 
 
 def t12_l_linear_closed_form(p: Pyramid, rho: int, mode: str) -> AlgebraElement:
@@ -140,14 +139,14 @@ def t12_l_linear_closed_form(p: Pyramid, rho: int, mode: str) -> AlgebraElement:
     terms = {}
     if mode == "displayed":
         for r in range(2, rho):
-            terms[_l_monomial(order, p.N, r, 0, rho - r)] = HbarPoly.const((-1) ** r)
+            terms[(_l_monomial(order, p.N, r, 0, rho - r), 0)] = (-1) ** r
     elif mode in ("shifted-alternating", "shifted-constant"):
         for r in range(2, rho + 1):
             sign = (-1) ** r if mode == "shifted-alternating" else (-1) ** (rho - 1)
-            terms[_l_monomial(order, p.N, r, 0, rho - r + 1)] = HbarPoly.const(sign)
+            terms[(_l_monomial(order, p.N, r, 0, rho - r + 1), 0)] = sign
     else:
         raise ValueError("unknown mode %r" % mode)
-    return AlgebraElement.from_terms(order, terms)
+    return AlgebraElement(order, terms)
 
 
 # ----------------------------------------------------------------------

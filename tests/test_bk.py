@@ -12,7 +12,6 @@ from walgebra.bk import (
     t_element,
     truncated_t,
 )
-from walgebra.hbar import HbarPoly
 from walgebra.pyramid import Pyramid
 
 
@@ -25,7 +24,7 @@ def S(order, c):
 
 
 def H(order, power=1, c=1):
-    return AlgebraElement.scalar(order, HbarPoly.hbar(power, c))
+    return AlgebraElement.scalar(order, c).times_hbar(power)
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])

@@ -169,6 +169,33 @@ def test_import_footprint_of_compute_t():
     assert not seen["run_dataclasses"]
 
 
+_TRACER = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import walgebra.cli
+from tracer import Tracer
+tracer = Tracer(0)
+tracer.install()
+print(json.dumps(tracer.unwrapped()))
+"""
+
+
+def test_benchmark_tracer_installs():
+    # the benchmark's tracer binds engine names by class __dict__ lookup, so
+    # deleting or renaming a traced name breaks every traced run; a fresh
+    # process keeps its wrappers out of this session
+    src = os.path.dirname(os.path.dirname(os.path.abspath(walgebra.__file__)))
+    perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACER, src, perfbench],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
 def test_selftest_small(capsys):
     code, out = run_cli(capsys, "selftest", "--N", "3", "--cases", "25")
     assert code == 0

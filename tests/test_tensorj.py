@@ -116,7 +116,7 @@ def test_j3_hand_values(J3):
     # exactly two off-identity entries, both equal to hbar
     p = Pyramid.subregular(3)
     o = p.default_order()
-    hbar = AlgebraElement.scalar(o, HbarPoly.hbar())
+    hbar = AlgebraElement.one(o).times_hbar()
     assert dict(J3.sorted_entries()) == {
         ((1, 3), (2, 1)): hbar,
         ((2, 3), (2, 2)): hbar,
@@ -359,7 +359,7 @@ def test_n5_printed_signs_refuted_by_gaussian_residual():
                 mono.append((e21, p21))
             if p11:
                 mono.append((e11, p11))
-            terms[tuple(mono)] = HbarPoly.hbar(1, q)
+            terms[tuple(mono)] = HbarPoly((0, q))
         return AlgebraElement.from_terms(o, terms)
 
     def residual_first_order(semi):
@@ -371,13 +371,13 @@ def test_n5_printed_signs_refuted_by_gaussian_residual():
             if not c.is_zero():
                 out = out - right_act(J.pair_generators[(a, l)], c)
         remaining = {}
-        for slots in out.slot_support():
+        for slots, u in out.by_slots().items():
             if slots == (2, 2):
                 continue
-            c = l_constant_part(out.coefficient_at(slots), p)
-            if c.is_zero():
-                continue
-            c1 = c.divide_hbar().at_hbar_zero()
+            c = l_constant_part(u, p)
+            assert c.divisible_by_hbar(), slots
+            # the first hbar-order of c, read off its degree-one terms
+            c1 = AlgebraElement(o, {(m, 0): q for (m, d), q in c.terms.items() if d == 1})
             if not c1.is_zero():
                 remaining[slots] = c1
         return remaining
