@@ -74,62 +74,53 @@ def _random_element(order: GeneratorOrder, rng: random.Random) -> AlgebraElement
 
 
 def engine_health(N: int = 4, cases: int = 1000, seed: int = 2024) -> list:
+    """Randomized PBW identities; check k draws its cases from seed + k."""
     order = GeneratorOrder.lex(N)
     rev = GeneratorOrder(
         N, [(i, j) for i in range(N, 0, -1) for j in range(N, 0, -1)], label="revlex"
     )
 
-    def associativity():
-        rng = random.Random(seed)
-        for k in range(cases):
-            a, b, c = (_random_element(order, rng) for _ in range(3))
-            if (a * b) * c != a * (b * c):
-                return False, "case %d" % k
-        return True, "%d cases" % cases
+    def associativity(rng):
+        a, b, c = (_random_element(order, rng) for _ in range(3))
+        return (a * b) * c == a * (b * c)
 
-    def jacobi():
-        rng = random.Random(seed + 1)
-        for k in range(cases):
-            gens = [
-                AlgebraElement.generator(order, rng.randint(1, N), rng.randint(1, N))
-                for _ in range(3)
-            ]
-            a, b, c = gens
-            s = (
-                a.commutator(b.commutator(c))
-                + b.commutator(c.commutator(a))
-                + c.commutator(a.commutator(b))
-            )
-            if not s.is_zero():
-                return False, "case %d" % k
-        return True, "%d cases" % cases
+    def jacobi(rng):
+        a, b, c = (
+            AlgebraElement.generator(order, rng.randint(1, N), rng.randint(1, N))
+            for _ in range(3)
+        )
+        s = (
+            a.commutator(b.commutator(c))
+            + b.commutator(c.commutator(a))
+            + c.commutator(a.commutator(b))
+        )
+        return s.is_zero()
 
-    def hbar_divisibility():
-        rng = random.Random(seed + 2)
-        for k in range(cases):
-            a, b = _random_element(order, rng), _random_element(order, rng)
-            if not (a * b - b * a).divisible_by_hbar():
-                return False, "case %d" % k
-        return True, "%d cases" % cases
+    def hbar_divisibility(rng):
+        a, b = _random_element(order, rng), _random_element(order, rng)
+        return (a * b - b * a).divisible_by_hbar()
 
-    def order_change():
-        rng = random.Random(seed + 3)
-        for k in range(cases):
-            a, b = _random_element(order, rng), _random_element(order, rng)
-            lhs = (a * b).change_order(rev)
-            rhs = a.change_order(rev) * b.change_order(rev)
-            if lhs != rhs:
-                return False, "case %d" % k
-        return True, "%d cases" % cases
+    def order_change(rng):
+        a, b = _random_element(order, rng), _random_element(order, rng)
+        return (a * b).change_order(rev) == a.change_order(rev) * b.change_order(rev)
 
-    return _run_checks(
-        [
-            ("pbw-associativity", associativity),
-            ("jacobi", jacobi),
-            ("commutator-hbar-divisibility", hbar_divisibility),
-            ("order-change-consistency", order_change),
-        ]
-    )
+    def seeded(k, case):
+        def thunk():
+            rng = random.Random(seed + k)
+            for n in range(cases):
+                if not case(rng):
+                    return False, "case %d" % n
+            return True, "%d cases" % cases
+
+        return thunk
+
+    identities = [
+        ("pbw-associativity", associativity),
+        ("jacobi", jacobi),
+        ("commutator-hbar-divisibility", hbar_divisibility),
+        ("order-change-consistency", order_change),
+    ]
+    return _run_checks([(name, seeded(k, case)) for k, (name, case) in enumerate(identities)])
 
 
 # ----------------------------------------------------------------------
@@ -287,14 +278,21 @@ def omega_suite(N: int) -> tuple[list, dict]:
     return _run_checks([(n, flag(n)) for n in names]), rep
 
 
+# j_structure_report's facts, "_" spelt "-"; compute-J exits 1 if one fails
+J_STRUCTURE_CHECKS = (
+    "support-upper-triangular",
+    "entries-divisible-by-hbar",
+    "entries-in-l",
+    "unipotent-diagonal",
+)
+
+
 def j_suite(N: int, compare: bool = True) -> tuple[list, dict]:
     J = compute_J(N)
     struct = j_structure_report(J)
     jobs = [
-        ("support-upper-triangular", lambda: (struct["support_upper_triangular"], None)),
-        ("entries-divisible-by-hbar", lambda: (struct["entries_divisible_by_hbar"], None)),
-        ("entries-in-l", lambda: (struct["entries_in_l"], None)),
-        ("unipotent-diagonal", lambda: (struct["unipotent_diagonal"], None)),
+        (name, lambda key=name.replace("-", "_"): (struct[key], None))
+        for name in J_STRUCTURE_CHECKS
     ]
     meta = {"N": N, "structure": struct, "J": J.to_json()}
     if compare:

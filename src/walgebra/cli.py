@@ -19,12 +19,15 @@ Exit codes: 0 on success; 1 on hard verification failure or, under
 --strict, on any failed check or comparison mismatch; 2 on usage errors,
 which include input rejected before any computation: a bad pyramid
 literal or truncation, T-indices out of range, N < 2, N < 3 for
-check-omega, and selftest --cases < 1.
+check-omega, selftest --cases < 1, and an --out whose directory does
+not exist.  A verification suite that raises is reported as one failed
+"construction" check, with exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -45,12 +48,33 @@ def _emit(data: dict, table, args) -> None:
         print(table())
 
 
-def _exit_code(report: VerificationReport, args, hard_fail: bool = False) -> int:
-    if hard_fail:
-        return 1
-    if args.strict and not report.ok():
-        return 1
-    return 0
+def _verify(args, command: str, suite, hard=None):
+    """Run suite() -> (checks, meta) and emit its report, or one failed
+    "construction" check if suite raises.  Returns (report, exit code):
+    1 when construction or a check named in hard (every check when hard
+    is None) fails, or on any failed check under --strict; else 0."""
+    p = Pyramid.subregular(args.N)
+    try:
+        checks, meta = suite()
+    except Exception as exc:
+        checks = [
+            {"name": "construction", "status": "fail", "witness": str(exc), "seconds": 0.0}
+        ]
+        meta = {}
+    report = VerificationReport(
+        command=command,
+        N=args.N,
+        pyramid=p.spec(),
+        checks=checks,
+        order_fingerprint=p.default_order().fingerprint,
+        meta=meta,
+    )
+    _emit(report.to_json(), report.render_table, args)
+    hard_fail = any(
+        hard is None or args.strict or c["name"] in hard or c["name"] == "construction"
+        for c in report.failed()
+    )
+    return report, int(hard_fail)
 
 
 def cmd_compute_t(args) -> int:
@@ -75,66 +99,22 @@ def cmd_compute_t(args) -> int:
 def cmd_verify_whittaker(args) -> int:
     from .checks import whittaker_suite
 
-    p = Pyramid.subregular(args.N)
-    try:
-        checks, meta = whittaker_suite(args.N, canonical=args.canonical)
-        hard = False
-    except Exception as exc:
-        checks = [
-            {"name": "construction", "status": "fail", "witness": str(exc), "seconds": 0.0}
-        ]
-        meta = {}
-        hard = True
-    report = VerificationReport(
-        command="verify-whittaker",
-        N=args.N,
-        pyramid=p.spec(),
-        checks=checks,
-        order_fingerprint=p.default_order().fingerprint,
-        meta=meta,
-    )
-    _emit(report.to_json(), report.render_table, args)
-    return _exit_code(report, args, hard_fail=hard or not report.ok())
+    return _verify(
+        args, "verify-whittaker", lambda: whittaker_suite(args.N, canonical=args.canonical)
+    )[1]
 
 
 def cmd_compute_j(args) -> int:
-    from .checks import j_suite
+    from .checks import J_STRUCTURE_CHECKS, j_suite
 
-    p = Pyramid.subregular(args.N)
-    try:
-        checks, meta = j_suite(args.N, compare=args.compare or args.semiclassical)
-        hard = not all(
-            c["status"] == "pass"
-            for c in checks
-            if c["name"]
-            in (
-                "support-upper-triangular",
-                "entries-divisible-by-hbar",
-                "entries-in-l",
-                "unipotent-diagonal",
-            )
-        )
-    except Exception as exc:
-        checks = [
-            {"name": "construction", "status": "fail", "witness": str(exc), "seconds": 0.0}
-        ]
-        meta = {}
-        hard = True
-    strict_mismatch = False
-    if args.compare and meta.get("semiclassical"):
-        cmp = meta["semiclassical"]
-        strict_mismatch = cmp["matched_convention"] not in ("statement", "proof")
-    report = VerificationReport(
-        command="compute-J",
-        N=args.N,
-        pyramid=p.spec(),
-        checks=checks,
-        order_fingerprint=p.default_order().fingerprint,
-        meta=meta,
+    report, code = _verify(
+        args,
+        "compute-J",
+        lambda: j_suite(args.N, compare=args.compare or args.semiclassical),
+        hard=J_STRUCTURE_CHECKS,
     )
-    _emit(report.to_json(), report.render_table, args)
-    if args.format == "table" and args.compare and meta.get("semiclassical"):
-        cmp = meta["semiclassical"]
+    cmp = report.meta.get("semiclassical") if args.compare else None
+    if cmp and args.format == "table":
         print(
             "  semi-classical: constant==j_c %s; convention matched: %s"
             % (cmp["constant_part_equals_jc"], cmp["matched_convention"])
@@ -145,8 +125,7 @@ def cmd_compute_j(args) -> int:
                     "    diff vs %-9s at %s|%s: computed %s, closed %s"
                     % (variant, d["row"], d["col"], d["computed"], d["closed_form"])
                 )
-    code = _exit_code(report, args, hard_fail=hard)
-    if code == 0 and args.strict and strict_mismatch:
+    if args.strict and cmp and cmp["matched_convention"] not in ("statement", "proof"):
         code = 1
     return code
 
@@ -154,18 +133,7 @@ def cmd_compute_j(args) -> int:
 def cmd_check_omega(args) -> int:
     from .checks import omega_suite
 
-    p = Pyramid.subregular(args.N)
-    checks, rep = omega_suite(args.N)
-    report = VerificationReport(
-        command="check-omega",
-        N=args.N,
-        pyramid=p.spec(),
-        checks=checks,
-        order_fingerprint=p.default_order().fingerprint,
-        meta=rep,
-    )
-    _emit(report.to_json(), report.render_table, args)
-    return _exit_code(report, args, hard_fail=not report.ok())
+    return _verify(args, "check-omega", lambda: omega_suite(args.N))[1]
 
 
 def cmd_selftest(args) -> int:
@@ -179,35 +147,26 @@ def cmd_selftest(args) -> int:
         whittaker_suite,
     )
 
-    p = Pyramid.subregular(args.N)
-    checks = []
-    checks += engine_health(min(args.N, 4), cases=args.cases)
-    checks += generator_identity_suite(args.N)
-    wchecks, wmeta = whittaker_suite(args.N, canonical=True)
-    checks += wchecks
-    if args.N >= 4:
-        checks += recursion_suite(args.N)
-    ochecks, _ = omega_suite(max(args.N, 3))
-    checks += ochecks
-    jchecks, jmeta = j_suite(args.N, compare=True) if args.N >= 3 else ([], {})
-    checks += jchecks
-    fchecks, _ = fusion_suite(args.N, samples=4) if args.N >= 3 else ([], {})
-    checks += fchecks
-    meta = {"whittaker": wmeta.get("conventions", {})}
-    if jmeta:
-        meta["semiclassical_convention"] = jmeta.get("semiclassical", {}).get(
-            "matched_convention"
-        )
-    report = VerificationReport(
-        command="selftest",
-        N=args.N,
-        pyramid=p.spec(),
-        checks=checks,
-        order_fingerprint=p.default_order().fingerprint,
-        meta=meta,
-    )
-    _emit(report.to_json(), report.render_table, args)
-    return _exit_code(report, args, hard_fail=not report.ok())
+    def suite():
+        checks = []
+        checks += engine_health(min(args.N, 4), cases=args.cases)
+        checks += generator_identity_suite(args.N)
+        wchecks, wmeta = whittaker_suite(args.N, canonical=True)
+        checks += wchecks
+        if args.N >= 4:
+            checks += recursion_suite(args.N)
+        checks += omega_suite(max(args.N, 3))[0]
+        jchecks, jmeta = j_suite(args.N, compare=True) if args.N >= 3 else ([], {})
+        checks += jchecks
+        checks += fusion_suite(args.N, samples=4)[0] if args.N >= 3 else []
+        meta = {"whittaker": wmeta.get("conventions", {})}
+        if jmeta:
+            meta["semiclassical_convention"] = jmeta.get("semiclassical", {}).get(
+                "matched_convention"
+            )
+        return checks, meta
+
+    return _verify(args, "selftest", suite)[1]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,6 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_input(args) -> None:
     """Raise on input that no computation accepts, before any work starts."""
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError("--out directory does not exist: %s" % args.out)
     if args.command == "compute-T":
         p = Pyramid.parse(args.pyramid)
         _check_args(p.truncate(args.truncate), args.i, args.j, args.x, args.r)

@@ -24,7 +24,8 @@ trailing m-factor keeps the leading b-factor.  So fuse(a, y) mod B
 depends only on a mod B; the right operand y must stay full.  A
 canonical v_i is 1 ⊗ v_i mod B_1 and the canonical pair generator g_ij
 is 1 ⊗ v_i ⊗ v_j mod B_2, while the l-constant obstructions never lie in
-B.  The Gaussian loop therefore starts from pi(fuse(pi(v_i), v_j)),
+B.  The Gaussian loop (whittaker.eliminate_l_constant, as in
+canonicalization) therefore starts from pi(fuse(pi(v_i), v_j)),
 subtracts right_act(1 ⊗ v_a ⊗ v_l, c), and must end at exactly
 1 ⊗ v_i ⊗ v_j; that one equality replaces the checks "unit leading term"
 and "residual in b·U" of the construction on full representatives,
@@ -56,11 +57,9 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, add_term, gen_ij
 from .geometry import jc_closed_form
-from .modules import ModuleElement, fuse, reduce_mod_b_left, right_act
+from .modules import ModuleElement, fuse, reduce_mod_b_left
 from .pyramid import Pyramid
-from .whittaker import WhittakerBasis, asymptotic_parts, canonical_basis, in_l
-
-_GAUSS_PASS_BOUND = 64
+from .whittaker import WhittakerBasis, asymptotic_parts, canonical_basis, eliminate_l_constant
 
 
 class TensorJError(Exception):
@@ -114,45 +113,30 @@ def compute_J(N: int, basis: WhittakerBasis | None = None) -> JMatrix:
     docstring): F starts as pi(fuse(pi(v_i), v_j)) and ends as
     1 ⊗ v_i ⊗ v_j exactly.  A right translate right_act(1 ⊗ v_a ⊗ v_l, c)
     is not reduced by pi: its U-parts are the monomials of c in U(l), and
-    l meets neither b nor m, so it has no term in B_2."""
+    l meets neither b nor m, so it has no term in B_2.  The elimination
+    gets only the generators of higher columns l > j, so an obstruction
+    that is not upper-triangular raises WhittakerError."""
     basis = basis or canonical_basis(N)
     _check_rank(N, basis.N)
     if not basis.canonical:
         raise TensorJError("compute_J needs the canonical basis")
     p = basis.pyramid
-    l_only = in_l(p)
     left = {i: reduce_mod_b_left(basis.vector(i)) for i in range(1, N + 1)}
     pair_gens: dict = {}
     entries: dict = {}
     for j in range(N, 0, -1):
+        higher = dict(pair_gens)
         for i in range(N, 0, -1):
-            F = reduce_mod_b_left(fuse(left[i], basis.vector(j)))
-            acc: dict = {}
-            for _ in range(_GAUSS_PASS_BOUND):
-                obstructions = [
-                    (slots, c)
-                    for slots, c in F.keep(l_only).by_slots().items()
-                    if slots != (i, j)
-                ]
-                if not obstructions:
-                    break
-                for (a, l), c in obstructions:
-                    if l <= j:
-                        raise TensorJError(
-                            "obstruction at %r for pair %r is not upper-triangular"
-                            % ((a, l), (i, j))
-                        )
-                    F = F - right_act(pair_gens[(a, l)], c)
-                    add_term(acc, (a, l), c)
-            else:
-                raise TensorJError("Gaussian pass bound exceeded at pair %r" % ((i, j),))
+            F, subtracted = eliminate_l_constant(
+                reduce_mod_b_left(fuse(left[i], basis.vector(j))), (i, j), higher
+            )
             if F != ModuleElement(p, 2, {((), (i, j), 0): 1}):
                 raise TensorJError(
                     "pair %r is not 1 ⊗ v_i ⊗ v_j modulo b after the Gaussian passes" % ((i, j),)
                 )
             pair_gens[(i, j)] = F
-            for key, c in acc.items():
-                entries[(key, (i, j))] = c
+            for slots, c in subtracted:
+                add_term(entries, (slots, (i, j)), c)
     return JMatrix(pyramid=p, entries=entries, pair_generators=pair_gens, basis=basis)
 
 

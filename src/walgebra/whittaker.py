@@ -26,7 +26,8 @@ part of every coefficient (l = span(E_21, E_11)) by subtracting right
 translates of the already-canonical higher vectors.  The result is the
 unique invariant vector of the form 1 ⊗ v_i + sum_{j>i} x_i^j ⊗ v_j with
 every x_i^j in b·U; uniqueness makes a failed b-membership check a hard
-error rather than data.
+error rather than data.  eliminate_l_constant is that triangular
+elimination for any rank; tensorj.compute_J runs it on pairs.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ def in_l(p: Pyramid):
     return lambda m: all(g in l_codes for g, _ in m)
 
 
-def l_constant_part(x: AlgebraElement, p: Pyramid) -> AlgebraElement:
-    """Terms whose monomials use only E_21 and E_11 (including the unit)."""
+def l_constant_part(x, p: Pyramid):
+    """Terms of an algebra or module element whose monomials use only
+    E_21 and E_11 (including the unit)."""
     return x.keep(in_l(p))
 
 
@@ -243,7 +245,28 @@ def build_basis(N: int) -> WhittakerBasis:
     return WhittakerBasis(pyramid=p, vectors=vectors, conventions=conventions)
 
 
-_CANONICALIZE_PASS_BOUND = 64
+_ELIMINATION_PASS_BOUND = 64
+
+
+def eliminate_l_constant(vec: ModuleElement, target: tuple, generators: dict):
+    """Clear the l-constant part of vec at every slot tuple but target:
+    each pass subtracts right_act(generators[slots], c) for each part c.
+    Returns (vec, the (slots, c) subtracted, in order).  Raises
+    WhittakerError on a part whose slots have no generator, or on parts
+    left after _ELIMINATION_PASS_BOUND passes."""
+    subtracted = []
+    for _ in range(_ELIMINATION_PASS_BOUND):
+        by_slots = l_constant_part(vec, vec.pyramid).by_slots()
+        parts = [(slots, c) for slots, c in by_slots.items() if slots != target]
+        if not parts:
+            return vec, subtracted
+        for slots, c in parts:
+            gen = generators.get(slots)
+            if gen is None:
+                raise WhittakerError("no generator clears the l-constant part at %r" % (slots,))
+            vec = vec - right_act(gen, c)
+            subtracted.append((slots, c))
+    raise WhittakerError("l-constant elimination did not stabilize at %r" % (target,))
 
 
 def is_canonical_vector(vec: ModuleElement, leading: int, p: Pyramid) -> bool:
@@ -267,23 +290,13 @@ def canonicalize(basis: WhittakerBasis) -> WhittakerBasis:
     if basis.canonical:
         return basis
     p = basis.pyramid
-    N = p.N
-    l_only = in_l(p)
     out: dict = {}
     log: list = []
-    for leading in range(N, 0, -1):
-        vec = basis.vectors[leading]
-        for _ in range(_CANONICALIZE_PASS_BOUND):
-            corrections = [
-                (q, c) for (q,), c in vec.keep(l_only).by_slots().items() if q > leading
-            ]
-            if not corrections:
-                break
-            for q, c in corrections:
-                vec = vec - right_act(out[q], c)
-                log.append((leading, q, c))
-        else:
-            raise WhittakerError("canonicalization did not stabilize at slot %d" % leading)
+    for leading in range(p.N, 0, -1):
+        vec, subtracted = eliminate_l_constant(
+            basis.vectors[leading], (leading,), {(q,): v for q, v in out.items()}
+        )
+        log += [(leading, q, c) for (q,), c in subtracted]
         if not is_canonical_vector(vec, leading, p):
             raise WhittakerError(
                 "vector with leading slot %d is not in canonical form after "

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import walgebra
+from walgebra import checks
 from walgebra.algebra import AlgebraElement
 from walgebra.bk import t_element
 from walgebra.cli import main
@@ -100,6 +101,10 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
             "row indices (5,1) out of range",
         ),
         (["selftest", "--N", "3", "--cases", "0"], "--cases must be at least 1"),
+        (
+            ["check-omega", "--N", "4", "--out", "/nonexistent/dir/r.json"],
+            "--out directory does not exist",
+        ),
     ],
     ids=[
         "missing-args",
@@ -110,6 +115,7 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
         "not-unimodal",
         "row-out-of-range",
         "selftest-cases-0",
+        "out-dir-missing",
     ],
 )
 def test_usage_error_exit_code(capsys, argv, message):
@@ -119,6 +125,31 @@ def test_usage_error_exit_code(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: " + message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, suite",
+    [
+        (["verify-whittaker", "--N", "3"], "whittaker_suite"),
+        (["compute-J", "--N", "3", "--compare"], "j_suite"),
+        (["check-omega", "--N", "3"], "omega_suite"),
+        (["selftest", "--N", "3"], "engine_health"),
+    ],
+    ids=["verify-whittaker", "compute-J", "check-omega", "selftest"],
+)
+def test_construction_guard(capsys, monkeypatch, argv, suite):
+    # a suite that raises is reported as one failed check, with exit 1
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken suite")
+
+    monkeypatch.setattr(checks, suite, broken)
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    validate_report_data(data)
+    assert data["checks"] == [
+        {"name": "construction", "status": "fail", "witness": "broken suite", "seconds": 0.0}
+    ]
 
 
 # compute-T needs only these; every other layer is imported by the

@@ -15,7 +15,6 @@ from walgebra.modules import (
 )
 from walgebra.pyramid import Pyramid
 from walgebra.tensorj import (
-    _GAUSS_PASS_BOUND,
     JMatrix,
     SemiclassicalJ,
     TensorJError,
@@ -27,7 +26,14 @@ from walgebra.tensorj import (
     semiclassical_from_asymptotics,
     semiclassical_limit,
 )
-from walgebra.whittaker import canonical_basis, in_l
+from walgebra import whittaker
+from walgebra.whittaker import (
+    _ELIMINATION_PASS_BOUND,
+    WhittakerError,
+    canonical_basis,
+    eliminate_l_constant,
+    in_l,
+)
 
 
 def _canonical_pair_generators(N, basis):
@@ -45,7 +51,7 @@ def _canonical_pair_generators(N, basis):
         for i in range(N, 0, -1):
             F = fuse(basis.vector(i), basis.vector(j))
             acc = {}
-            for _ in range(_GAUSS_PASS_BOUND):
+            for _ in range(_ELIMINATION_PASS_BOUND):
                 obstructions = [
                     (slots, c)
                     for slots, c in F.keep(l_only).by_slots().items()
@@ -162,6 +168,28 @@ def test_wrong_rank_input_is_rejected(J3):
         semiclassical_from_asymptotics(3, basis4)
     with pytest.raises(TensorJError):
         compare_semiclassical(4, J3)
+
+
+def _pair_21_before_elimination(J3):
+    # J(3) has the entry at ((1, 3), (2, 1)), so the pair (2, 1) starts
+    # with an l-constant part at slots (1, 3)
+    basis = J3.basis
+    return reduce_mod_b_left(fuse(reduce_mod_b_left(basis.vector(2)), basis.vector(1)))
+
+
+def test_elimination_raises_on_part_without_generator(J3):
+    with pytest.raises(WhittakerError, match="no generator"):
+        eliminate_l_constant(_pair_21_before_elimination(J3), (2, 1), {})
+
+
+def test_elimination_raises_past_pass_bound(J3, monkeypatch):
+    F = _pair_21_before_elimination(J3)
+    higher = {k: g for k, g in J3.pair_generators.items() if k[1] > 1}
+    done, subtracted = eliminate_l_constant(F, (2, 1), higher)
+    assert done == J3.pair_generators[(2, 1)] and subtracted
+    monkeypatch.setattr(whittaker, "_ELIMINATION_PASS_BOUND", 0)
+    with pytest.raises(WhittakerError, match="did not stabilize"):
+        eliminate_l_constant(F, (2, 1), higher)
 
 
 def test_fuse_with_plain_top_vector_is_slot_append():
