@@ -29,6 +29,7 @@ functions.
 from __future__ import annotations
 
 import hashlib
+from fractions import Fraction
 
 from .hbar import HbarPoly, _exact
 
@@ -59,7 +60,7 @@ class GeneratorOrder:
 
     __slots__ = ("N", "ranks", "label", "_fp", "_pair_cache")
 
-    def __init__(self, N: int, ranked_gens, label: str = "custom"):
+    def __init__(self, N: int, ranked_gens, label: str):
         self.N = N
         ranks = [-1] * (N * N)
         for r, (i, j) in enumerate(ranked_gens):
@@ -81,9 +82,6 @@ class GeneratorOrder:
     @property
     def fingerprint(self) -> str:
         return self._fp
-
-    def rank(self, code: int) -> int:
-        return self.ranks[code]
 
     def __eq__(self, other):
         return isinstance(other, GeneratorOrder) and self.N == other.N and self.ranks == other.ranks
@@ -196,9 +194,10 @@ class TermMap:
     AlgebraElement keys (monomial, d) and ModuleElement keys
     (monomial, slots, d).  A coefficient is an int where it is integral
     and a Fraction otherwise (see hbar._exact), so equal elements have
-    equal term maps.  Scalars are rationals; a polynomial in hbar is an
-    edge type only: it leaves through sorted_terms (JSON and rendering)
-    and enters through from_terms and the from_json readers.
+    equal term maps; any other value raises TypeError.  Scalars are
+    rationals; a polynomial in hbar is an edge type only: it leaves
+    through sorted_terms (JSON and rendering) and enters through
+    from_terms and the from_json readers.
 
     A subclass supplies _check_compatible(other), which raises on mixed
     ambient data, _with(terms), which builds an element with the same
@@ -209,7 +208,11 @@ class TermMap:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        if not set(map(type, terms.values())) <= {int}:
+        types = set(map(type, terms.values()))
+        if not types <= {int}:
+            bad = types - {int, Fraction}
+            if bad:
+                raise TypeError("a coefficient must be int or Fraction, not %s" % bad.pop().__name__)
             terms = {k: _exact(c) for k, c in terms.items()}
         self.terms = terms
 
@@ -256,13 +259,13 @@ class TermMap:
             by_key.setdefault(k[:-1], {})[k[-1]] = c
         ranks = self.order.ranks
 
-        def rank_key(item):
+        def sort_key(item):
             m, *slots = item[0]
             return (slots, sum(e for _, e in m), tuple((ranks[g], e) for g, e in m))
 
         return [
             (key, HbarPoly([by_d.get(d, 0) for d in range(max(by_d) + 1)]))
-            for key, by_d in sorted(by_key.items(), key=rank_key)
+            for key, by_d in sorted(by_key.items(), key=sort_key)
         ]
 
 

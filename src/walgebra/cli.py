@@ -19,9 +19,9 @@ Exit codes: 0 on success; 1 on hard verification failure or, under
 --strict, on any failed check or comparison mismatch; 2 on usage errors,
 which include input rejected before any computation: a bad pyramid
 literal or truncation, T-indices out of range, N < 2, N < 3 for
-check-omega, selftest --cases < 1, and an --out whose directory does
-not exist.  A verification suite that raises is reported as one failed
-"construction" check, with exit 1.
+check-omega, selftest --cases < 1, and an --out that is an existing
+directory or whose directory does not exist.  A verification suite that
+raises is reported as one failed "construction" check, with exit 1.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def cmd_selftest(args) -> int:
         checks += omega_suite(max(args.N, 3))[0]
         jchecks, jmeta = j_suite(args.N, compare=True) if args.N >= 3 else ([], {})
         checks += jchecks
-        checks += fusion_suite(args.N, samples=4)[0] if args.N >= 3 else []
+        checks += fusion_suite(args.N) if args.N >= 3 else []
         meta = {"whittaker": wmeta.get("conventions", {})}
         if jmeta:
             meta["semiclassical_convention"] = jmeta.get("semiclassical", {}).get(
@@ -222,6 +222,8 @@ def _check_input(args) -> None:
     """Raise on input that no computation accepts, before any work starts."""
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ValueError("--out directory does not exist: %s" % args.out)
+    if args.out and os.path.isdir(args.out):
+        raise ValueError("--out is a directory: %s" % args.out)
     if args.command == "compute-T":
         p = Pyramid.parse(args.pyramid)
         _check_args(p.truncate(args.truncate), args.i, args.j, args.x, args.r)

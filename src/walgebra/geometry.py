@@ -189,15 +189,6 @@ class RMatrixElement:
     def sorted_terms(self):
         return sorted(self.terms.items())
 
-    def to_json(self):
-        return {
-            "N": self.N,
-            "terms": [
-                {"first": list(f), "second": list(s), "coeff": "%d/%d" % (c.numerator, c.denominator)}
-                for (f, s), c in self.sorted_terms()
-            ],
-        }
-
 
 def jc_recursive(N: int) -> RMatrixElement:
     """j_c from the inductive inversion of the omega column relations,

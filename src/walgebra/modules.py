@@ -253,14 +253,15 @@ def ad_action(xi_ij, m: ModuleElement) -> ModuleElement:
     return reduce_mod_m_psi(ModuleElement(p, m.t, out))
 
 
-def is_whittaker(m: ModuleElement):
-    """Check invariance under the shifted m-action of every element of
-    m_basis(): the full-m oracle.  The vector-building gates in whittaker
-    check only the Lie generators of m, which decides the same thing.
+def is_whittaker(m: ModuleElement, elements=None):
+    """Check invariance under the shifted m-action of each (i, j) in
+    elements, by default every element of m_basis(): the full-m oracle.
+    The vector-building gates in whittaker pass the Lie generators of m
+    (Pyramid.m_generators), which decides the same thing.
 
     Returns (True, None, None) or (False, offending (i,j), residue).
     """
-    for (i, j) in m.pyramid.m_basis():
+    for (i, j) in m.pyramid.m_basis() if elements is None else elements:
         res = ad_action((i, j), m)
         if not res.is_zero():
             return False, (i, j), res

@@ -297,10 +297,9 @@ class CharacterPsi:
     raises rather than returning zero.
     """
 
-    __slots__ = ("pyramid", "values")
+    __slots__ = ("values",)
 
     def __init__(self, pyramid: Pyramid):
-        self.pyramid = pyramid
         e_pairs = set(pyramid.e_pairs())
         values = {}
         for (i, j) in pyramid.m_basis():

@@ -10,9 +10,9 @@ from .algebra import AlgebraElement, gen_ij
 from .hbar import HbarPoly
 
 
-def render_poly(p: HbarPoly, wrap: bool = True) -> str:
+def render_poly(p: HbarPoly) -> str:
     s = str(p)
-    if wrap and (" + " in s or " - " in s):
+    if " + " in s or " - " in s:
         return "(%s)" % s
     return s
 

@@ -66,34 +66,24 @@ class TensorJError(Exception):
     pass
 
 
-def _check_rank(N: int, got: int):
-    if got != N:
-        raise TensorJError("input is over N=%d, expected N=%d" % (got, N))
-
-
 class JMatrix:
     """Entries c_ij^al of J - id, plus the canonical pair generators
     modulo b: pair_generators[(i, j)] is pi(g_ij), which equals
     1 ⊗ v_i ⊗ v_j (see the module docstring)."""
 
-    def __init__(self, pyramid: Pyramid, entries: dict, pair_generators: dict,
-                 basis: WhittakerBasis):
-        self.pyramid = pyramid
+    def __init__(self, basis: WhittakerBasis, entries: dict, pair_generators: dict):
+        self.basis = basis
         self.entries = entries  # ((a, l), (i, j)) -> AlgebraElement in U(l)
         # (i, j) -> pi(g_ij) = 1 ⊗ v_i ⊗ v_j, a rank-2 ModuleElement
         self.pair_generators = pair_generators
-        self.basis = basis
+
+    @property
+    def pyramid(self) -> Pyramid:
+        return self.basis.pyramid
 
     @property
     def N(self) -> int:
-        return self.pyramid.N
-
-    def entry(self, row, col) -> AlgebraElement:
-        key = (tuple(row), tuple(col))
-        hit = self.entries.get(key)
-        if hit is not None:
-            return hit
-        return AlgebraElement.zero(self.pyramid.default_order())
+        return self.basis.N
 
     def sorted_entries(self):
         return sorted(self.entries.items())
@@ -108,7 +98,7 @@ class JMatrix:
         }
 
 
-def compute_J(N: int, basis: WhittakerBasis | None = None) -> JMatrix:
+def compute_J(basis: WhittakerBasis) -> JMatrix:
     """Gaussian construction of J in the left b-quotient (see the module
     docstring): F starts as pi(fuse(pi(v_i), v_j)) and ends as
     1 ⊗ v_i ⊗ v_j exactly.  A right translate right_act(1 ⊗ v_a ⊗ v_l, c)
@@ -116,11 +106,10 @@ def compute_J(N: int, basis: WhittakerBasis | None = None) -> JMatrix:
     l meets neither b nor m, so it has no term in B_2.  The elimination
     gets only the generators of higher columns l > j, so an obstruction
     that is not upper-triangular raises WhittakerError."""
-    basis = basis or canonical_basis(N)
-    _check_rank(N, basis.N)
     if not basis.canonical:
         raise TensorJError("compute_J needs the canonical basis")
     p = basis.pyramid
+    N = basis.N
     left = {i: reduce_mod_b_left(basis.vector(i)) for i in range(1, N + 1)}
     pair_gens: dict = {}
     entries: dict = {}
@@ -137,7 +126,7 @@ def compute_J(N: int, basis: WhittakerBasis | None = None) -> JMatrix:
             pair_gens[(i, j)] = F
             for slots, c in subtracted:
                 add_term(entries, (slots, (i, j)), c)
-    return JMatrix(pyramid=p, entries=entries, pair_generators=pair_gens, basis=basis)
+    return JMatrix(basis, entries, pair_gens)
 
 
 def j_structure_report(J: JMatrix) -> dict:
@@ -334,13 +323,12 @@ def semiclassical_closed_form(N: int, second_family: str = "statement") -> Semic
     return out
 
 
-def semiclassical_from_asymptotics(N: int, basis: WhittakerBasis | None = None) -> SemiclassicalJ:
+def semiclassical_from_asymptotics(basis: WhittakerBasis) -> SemiclassicalJ:
     """First hbar-order recomputed from the hbar-constant linear and
     l-linear coefficient parts alone: a single transport step of the
     leading generator of each such part past the first slot."""
-    basis = basis or canonical_basis(N)
-    _check_rank(N, basis.N)
     p = basis.pyramid
+    N = basis.N
     e21, e11 = p.l_codes()
     out = SemiclassicalJ(N)
     for j in range(1, N + 1):
@@ -367,11 +355,10 @@ def semiclassical_from_asymptotics(N: int, basis: WhittakerBasis | None = None) 
     return out
 
 
-def compare_semiclassical(N: int, J: JMatrix | None = None) -> dict:
+def compare_semiclassical(J: JMatrix) -> dict:
     """Exact comparison of the computed limit against the candidate closed
     forms; mismatches are reported as data."""
-    J = J or compute_J(N)
-    _check_rank(N, J.N)
+    N = J.N
     computed = semiclassical_limit(J)
     report: dict = {"N": N}
     jc = _jc_as_matrix(N)

@@ -19,7 +19,7 @@ and psi, a character of m, vanishes on [m, m], so [ad x, ad y] = ad [x,y]
 (the module is free over Q[hbar], so the division loses nothing).  A
 vector killed by ad x and ad y is therefore killed by ad [x,y], hence by
 the Lie algebra the generators span, which is m.  modules.is_whittaker
-stays the check over all of m, used as the oracle.
+over its default element set, all of m, stays the oracle.
 
 Canonicalization removes, from the highest slot down, the l-constant
 part of every coefficient (l = span(E_21, E_11)) by subtracting right
@@ -36,8 +36,8 @@ from .algebra import AlgebraElement, GeneratorOrder, gen_code, gen_ij
 from .bk import truncated_t
 from .modules import (
     ModuleElement,
-    ad_action,
     b_reduction_is_zero,
+    is_whittaker,
     reduce_mod_m_psi,
     right_act,
 )
@@ -154,16 +154,6 @@ def t12_l_linear_closed_form(p: Pyramid, rho: int, mode: str) -> AlgebraElement:
 # ----------------------------------------------------------------------
 # vector construction
 # ----------------------------------------------------------------------
-def _invariant_on_generators(vec: ModuleElement):
-    """The gate: is_whittaker's (ok, offending (i,j), residue) triple over
-    the Lie generators of m, which decides invariance under all of m."""
-    for xi in vec.pyramid.m_generators():
-        res = ad_action(xi, vec)
-        if not res.is_zero():
-            return False, xi, res
-    return True, None, None
-
-
 def _tilde_v_candidate(N: int, j: int, v1_exponent: str) -> ModuleElement:
     p = Pyramid.subregular(N)
     target = N - j
@@ -192,9 +182,10 @@ def build_tilde_v(N: int, j: int, v1_exponent: str | None = None):
         raise ValueError("j=%d out of range 0..%d" % (j, N - 1))
     if v1_exponent not in (None,) + V1_EXPONENT_CANDIDATES:
         raise ValueError("unknown v1 exponent convention %r" % (v1_exponent,))
+    gens = Pyramid.subregular(N).m_generators()
     if N - j != 1:
         vec = _tilde_v_candidate(N, j, "N-i-2")
-        ok, xi, res = _invariant_on_generators(vec)
+        ok, xi, res = is_whittaker(vec, gens)
         if not ok:
             raise WhittakerError(
                 "vtilde_%d over N=%d is not invariant: ad E%r left %r" % (N - j, N, xi, res)
@@ -204,7 +195,7 @@ def build_tilde_v(N: int, j: int, v1_exponent: str | None = None):
     failures = []
     for cand in candidates:
         vec = _tilde_v_candidate(N, j, cand)
-        ok, xi, res = _invariant_on_generators(vec)
+        ok, xi, res = is_whittaker(vec, gens)
         if ok:
             return vec, cand
         failures.append((cand, xi))
@@ -218,12 +209,11 @@ class WhittakerBasis:
     """The N generating invariant vectors, indexed by leading slot."""
 
     def __init__(self, pyramid: Pyramid, vectors: dict, canonical: bool = False,
-                 conventions: dict | None = None, change_log: list | None = None):
+                 conventions: dict | None = None):
         self.pyramid = pyramid
         self.vectors = vectors  # leading slot -> ModuleElement
         self.canonical = canonical
         self.conventions = {} if conventions is None else conventions
-        self.change_log = [] if change_log is None else change_log
 
     @property
     def N(self) -> int:
@@ -291,27 +281,21 @@ def canonicalize(basis: WhittakerBasis) -> WhittakerBasis:
         return basis
     p = basis.pyramid
     out: dict = {}
-    log: list = []
     for leading in range(p.N, 0, -1):
-        vec, subtracted = eliminate_l_constant(
+        vec, _ = eliminate_l_constant(
             basis.vectors[leading], (leading,), {(q,): v for q, v in out.items()}
         )
-        log += [(leading, q, c) for (q,), c in subtracted]
         if not is_canonical_vector(vec, leading, p):
             raise WhittakerError(
                 "vector with leading slot %d is not in canonical form after "
                 "l-constant removal" % leading
             )
-        ok, xi, res = _invariant_on_generators(vec)
+        ok, xi, res = is_whittaker(vec, p.m_generators())
         if not ok:
             raise WhittakerError("canonicalization broke invariance at slot %r" % (xi,))
         out[leading] = vec
     return WhittakerBasis(
-        pyramid=p,
-        vectors=out,
-        canonical=True,
-        conventions=dict(basis.conventions),
-        change_log=log,
+        pyramid=p, vectors=out, canonical=True, conventions=dict(basis.conventions)
     )
 
 

@@ -32,6 +32,7 @@ from walgebra.tensorj import (
 from walgebra.whittaker import (
     asymptotic_parts,
     build_basis,
+    canonical_basis,
     l_constant_part,
     linear_part_closed_form,
     t12_l_linear_closed_form,
@@ -183,7 +184,7 @@ def test_criterion_06_wonderbolic_inversion():
 def test_criterion_07_j_structure():
     bad = []
     for N in (3, 4, 5):
-        rep = j_structure_report(compute_J(N))
+        rep = j_structure_report(compute_J(canonical_basis(N)))
         if not rep["ok"]:
             bad.append((N, rep["violations"][:2]))
     assert _report(7, "J structure N=3..5", not bad, str(bad[:2]) if bad else "unipotent, hbar-divisible, U(l)-valued")
@@ -220,12 +221,12 @@ def _column_twist(s):
 
 def test_criterion_08_semiclassical_limit():
     start = time.monotonic()
-    cmp3 = compare_semiclassical(3)
+    cmp3 = compare_semiclassical(compute_J(canonical_basis(3)))
     n3_ok = cmp3["constant_part_equals_jc"] and cmp3["max_x_degree"] == 0
     results = {}
     for N in (4, 5):
-        J = compute_J(N)
-        cmp = compare_semiclassical(N, J)
+        J = compute_J(canonical_basis(N))
+        cmp = compare_semiclassical(J)
         printed = semiclassical_closed_form(N, "statement")
         jc = printed.constant_part()
         results[N] = {
@@ -274,7 +275,7 @@ def test_criterion_09_fusion_associativity():
 
 
 def test_criterion_10_engine_health():
-    recs = engine_health(4, cases=1000, seed=2024)
+    recs = engine_health(4, cases=1000)
     bad = [r for r in recs if r["status"] != "pass"]
     assert _report(
         10,

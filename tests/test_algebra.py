@@ -210,6 +210,18 @@ def test_scale_and_purge(lex4):
     assert (one_plus_hbar * a - a).terms == {(((gen_code(4, 1, 2), 1),), 1): 1}
 
 
+@pytest.mark.parametrize("coeff", [0.1, "1/3", HbarPoly((1, 1))], ids=["float", "str", "HbarPoly"])
+def test_non_rational_coefficients_are_rejected(lex4, coeff):
+    with pytest.raises(TypeError, match="not %s" % type(coeff).__name__):
+        AlgebraElement.scalar(lex4, coeff)
+    with pytest.raises(TypeError):
+        E(lex4, 1, 2).scale(coeff)
+    # ints and Fractions are the coefficients, stored exactly
+    assert AlgebraElement.scalar(lex4, 3).terms == {((), 0): 3}
+    assert AlgebraElement.scalar(lex4, Fraction(1, 3)).terms == {((), 0): Fraction(1, 3)}
+    assert type(AlgebraElement.scalar(lex4, Fraction(4, 2)).terms[((), 0)]) is int
+
+
 def test_normal_order_step_budget(monkeypatch):
     order = GeneratorOrder.lex(3)
     word = tuple(reversed(range(9)))

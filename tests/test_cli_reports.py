@@ -105,6 +105,7 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
             ["check-omega", "--N", "4", "--out", "/nonexistent/dir/r.json"],
             "--out directory does not exist",
         ),
+        (["check-omega", "--N", "3", "--out", FIXTURES], "--out is a directory"),
     ],
     ids=[
         "missing-args",
@@ -116,6 +117,7 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
         "row-out-of-range",
         "selftest-cases-0",
         "out-dir-missing",
+        "out-is-dir",
     ],
 )
 def test_usage_error_exit_code(capsys, argv, message):

@@ -1,0 +1,73 @@
+"""Every definition of the package has a caller.
+
+An AST scan of src/, tests/ and perfbench/ requires a reference, outside
+the definition's own body, for each top-level function and class and
+each non-dunder method in src/walgebra.  A function or class counts as
+referenced by a name, an attribute or an import of it; a method by an
+attribute `.name` or by a string constant "Class.name", the form the
+benchmark tracer's SPANS use.  Words in docstrings and comments do not
+count: a string counts only when it is exactly "Class.name".
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "walgebra"
+SCANNED = ("src", "tests", "perfbench")
+
+
+def _definitions(tree: ast.Module, module: str):
+    """(label, name, node, is_method) for each definition under test."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield "%s.%s" % (module, node.name), node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    label = "%s.%s.%s" % (module, node.name, item.name)
+                    yield label, "%s.%s" % (node.name, item.name), item, True
+
+
+def _references(node: ast.AST, enclosing: tuple, out: dict) -> None:
+    """out[(kind, text)] gets the enclosing definition nodes of each
+    reference."""
+    if isinstance(node, ast.Name):
+        out[("name", node.id)].append(enclosing)
+    elif isinstance(node, ast.Attribute):
+        out[("attr", node.attr)].append(enclosing)
+    elif isinstance(node, ast.ImportFrom):
+        for alias in node.names:
+            out[("name", alias.name)].append(enclosing)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        out[("string", node.value)].append(enclosing)
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        enclosing = enclosing + (node,)
+    for child in ast.iter_child_nodes(node):
+        _references(child, enclosing, out)
+
+
+def test_every_definition_is_referenced():
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in SCANNED
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    refs: dict = defaultdict(list)
+    for tree in trees.values():
+        _references(tree, (), refs)
+    unreferenced = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for label, name, node, is_method in _definitions(trees[path], path.stem):
+            if is_method:
+                wanted = [("attr", name.split(".")[1]), ("string", name)]
+            else:
+                wanted = [("name", name), ("attr", name)]
+            if not any(node not in where for key in wanted for where in refs.get(key, ())):
+                unreferenced.append(label)
+    assert unreferenced == []

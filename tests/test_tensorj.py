@@ -30,6 +30,7 @@ from walgebra import whittaker
 from walgebra.whittaker import (
     _ELIMINATION_PASS_BOUND,
     WhittakerError,
+    build_basis,
     canonical_basis,
     eliminate_l_constant,
     in_l,
@@ -78,37 +79,37 @@ def _canonical_pair_generators(N, basis):
 
 @pytest.fixture(scope="module")
 def J3():
-    return compute_J(3)
+    return compute_J(canonical_basis(3))
 
 
 @pytest.fixture(scope="module")
 def J4():
-    return compute_J(4)
+    return compute_J(canonical_basis(4))
 
 
 @pytest.fixture(scope="module")
 def J5():
-    return compute_J(5)
+    return compute_J(canonical_basis(5))
 
 
 @pytest.fixture(scope="module")
 def J6():
-    return compute_J(6)
+    return compute_J(canonical_basis(6))
 
 
 @pytest.fixture(scope="module")
 def J7():
-    return compute_J(7)
+    return compute_J(canonical_basis(7))
 
 
 @pytest.fixture(scope="module")
 def J8():
-    return compute_J(8)
+    return compute_J(canonical_basis(8))
 
 
 @pytest.fixture(scope="module")
 def J9():
-    return compute_J(9)
+    return compute_J(canonical_basis(9))
 
 
 @pytest.fixture(scope="module")
@@ -160,14 +161,9 @@ def test_oracle_pair_generators_reduce_to_unit_pairs(J3, J4, J5, J6, oracle):
             assert J.pair_generators[(i, j)] == unit, (J.N, (i, j))
 
 
-def test_wrong_rank_input_is_rejected(J3):
-    basis4 = canonical_basis(4)
-    with pytest.raises(TensorJError):
-        compute_J(3, basis4)
-    with pytest.raises(TensorJError):
-        semiclassical_from_asymptotics(3, basis4)
-    with pytest.raises(TensorJError):
-        compare_semiclassical(4, J3)
+def test_compute_j_needs_the_canonical_basis():
+    with pytest.raises(TensorJError, match="canonical basis"):
+        compute_J(build_basis(3))
 
 
 def _pair_21_before_elimination(J3):
@@ -243,7 +239,7 @@ def test_semiclassical_n4_matches_statement(J4):
 
 
 def test_compare_report_n4(J4):
-    rep = compare_semiclassical(4, J4)
+    rep = compare_semiclassical(J4)
     assert rep["constant_part_equals_jc"]
     assert rep["matches"]["statement"] and not rep["matches"]["proof"]
     assert rep["matched_convention"] == "statement"
@@ -254,15 +250,15 @@ def test_compare_report_n5():
     # at N=5 the computed dynamical part is uniformly positive; both printed
     # sign patterns fail literally, and the diff is confined to odd-exponent
     # entries (the column twist accounts for it, see the twist tests below)
-    J5 = compute_J(5)
-    rep = compare_semiclassical(5, J5)
+    J5 = compute_J(canonical_basis(5))
+    rep = compare_semiclassical(J5)
     assert rep["constant_part_equals_jc"]
     assert not rep["matches"]["statement"] and not rep["matches"]["proof"]
     assert rep["matches"]["positive"]
     assert rep["matched_convention"] == "positive"
     rows = {(tuple(d["row"]), tuple(d["col"])) for d in rep["diffs"]["statement"]}
     assert rows == {((1, 5), (2, 1)), ((1, 5), (2, 2))}
-    assert semiclassical_from_asymptotics(5, J5.basis) == semiclassical_limit(J5)
+    assert semiclassical_from_asymptotics(J5.basis) == semiclassical_limit(J5)
     assert j_structure_report(J5)["ok"]
 
 
@@ -314,7 +310,7 @@ def test_semiclassical_n6_is_jc_plus_twisted_statement(J6):
     assert limit.constant_part() == printed.constant_part()
     assert _dynamical_part(limit) == _column_twist(_dynamical_part(printed))
     assert limit != printed
-    assert limit == semiclassical_from_asymptotics(6, J6.basis)
+    assert limit == semiclassical_from_asymptotics(J6.basis)
 
 
 def test_semiclassical_n7_n8_is_jc_plus_positive(J7, J8):
@@ -322,7 +318,7 @@ def test_semiclassical_n7_n8_is_jc_plus_positive(J7, J8):
     for J in (J7, J8):
         limit = semiclassical_limit(J)
         assert limit.constant_part() == semiclassical_closed_form(J.N, "statement").constant_part()
-        assert limit == semiclassical_from_asymptotics(J.N, J.basis)
+        assert limit == semiclassical_from_asymptotics(J.basis)
         assert limit == semiclassical_closed_form(J.N, "positive")
 
 
@@ -330,12 +326,12 @@ def test_semiclassical_n9_is_jc_plus_positive(J9):
     limit = semiclassical_limit(J9)
     assert limit.constant_part() == semiclassical_closed_form(9, "statement").constant_part()
     assert limit == semiclassical_closed_form(9, "positive")
-    assert limit == semiclassical_from_asymptotics(9, J9.basis)
+    assert limit == semiclassical_from_asymptotics(J9.basis)
 
 
 def test_asymptotic_recomputation_agrees(J3, J4):
     for J in (J3, J4):
-        assert semiclassical_from_asymptotics(J.N, J.basis) == semiclassical_limit(J)
+        assert semiclassical_from_asymptotics(J.basis) == semiclassical_limit(J)
 
 
 def test_fuse_associativity():
@@ -374,7 +370,7 @@ def test_n5_printed_signs_refuted_by_gaussian_residual():
     # computed first order clears it
     from walgebra.whittaker import l_constant_part
 
-    J = compute_J(5)
+    J = compute_J(canonical_basis(5))
     p, o = J.pyramid, J.pyramid.default_order()
     e21, e11 = p.l_codes()
     F0 = fuse(J.basis.vector(2), J.basis.vector(2))
@@ -420,7 +416,7 @@ def test_n5_printed_signs_refuted_by_gaussian_residual():
 
 def test_jmatrix_json_deterministic(J3):
     a = json.dumps(J3.to_json(), sort_keys=True)
-    b = json.dumps(compute_J(3).to_json(), sort_keys=True)
+    b = json.dumps(compute_J(canonical_basis(3)).to_json(), sort_keys=True)
     assert a == b
 
 
