@@ -131,17 +131,12 @@ def generator_identity_suite(N: int) -> list:
     order = p.default_order()
 
     def r1_closed_form():
-        for i in range(1, p.n + 1):
-            for j in range(1, p.n + 1):
-                for x in range(0, p.n + 1):
-                    if t_element(p, i, j, x, 1).value != t1_closed_form(p, i, j, x):
-                        return False, "(i,j,x)=(%d,%d,%d)" % (i, j, x)
-        q = Pyramid((1, 3, 2, 1))
-        for i in range(1, q.n + 1):
-            for j in range(1, q.n + 1):
-                for x in range(0, q.n + 1):
-                    if t_element(q, i, j, x, 1).value != t1_closed_form(q, i, j, x):
-                        return False, "pyramid 1,3,2,1 (i,j,x)=(%d,%d,%d)" % (i, j, x)
+        for q, where in ((p, ""), (Pyramid((1, 3, 2, 1)), "pyramid 1,3,2,1 ")):
+            for i in range(1, q.n + 1):
+                for j in range(1, q.n + 1):
+                    for x in range(0, q.n + 1):
+                        if t_element(q, i, j, x, 1).value != t1_closed_form(q, i, j, x):
+                            return False, where + "(i,j,x)=(%d,%d,%d)" % (i, j, x)
         return True, "all (i,j,x) on subreg:%d and 1,3,2,1" % N
 
     def fixture_t11():
@@ -246,7 +241,8 @@ def whittaker_suite(N: int, canonical: bool) -> tuple[list, dict]:
     meta = {
         "N": N,
         "canonical": canonical,
-        "conventions": dict(basis.conventions),
+        # the [12;1] superscript of vtilde_1 (whittaker docstring)
+        "conventions": {"v1_exponent": "N-i-2"},
         "vectors": {
             str(i): render_module(basis.vector(i)) for i in range(1, N + 1)
         },

@@ -159,7 +159,7 @@ def cmd_selftest(args) -> int:
         jchecks, jmeta = j_suite(args.N, compare=True) if args.N >= 3 else ([], {})
         checks += jchecks
         checks += fusion_suite(args.N) if args.N >= 3 else []
-        meta = {"whittaker": wmeta.get("conventions", {})}
+        meta = {"whittaker": wmeta["conventions"]}
         if jmeta:
             meta["semiclassical_convention"] = jmeta.get("semiclassical", {}).get(
                 "matched_convention"

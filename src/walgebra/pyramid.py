@@ -164,19 +164,14 @@ class Pyramid:
         """The elements of m_basis() outside [m, m], in the same order.
 
         [E_ij, E_kl] = d_jk E_il - d_li E_kj, and for two elements of m at
-        most one term survives, so [m, m] is spanned by the E_il with
-        E_ij and E_jl both in m for some j.  The remaining matrix units
-        span a complement of [m, m] and, m being nilpotent, generate m as
-        a Lie algebra: E_31, E_32 and E_{k+1,k} (3 <= k <= N-1) on the
-        subregular pyramid.
+        most one term survives, so E_il lies in [m, m] exactly when some
+        block j has col(l) < col(j) < col(i).  The columns are contiguous
+        and none is empty, so that holds exactly when deg E_il <= -2: the
+        generators are the degree -1 elements.  They span a complement of
+        [m, m] and, m being nilpotent, generate m as a Lie algebra: E_31,
+        E_32 and E_{k+1,k} (3 <= k <= N-1) on the subregular pyramid.
         """
-        m = self.m_basis()
-        in_m = set(m)
-        blocks = range(1, self.N + 1)
-        return tuple(
-            (i, l) for (i, l) in m
-            if not any((i, j) in in_m and (j, l) in in_m for j in blocks)
-        )
+        return tuple(x for x in self.m_basis() if self.degree(*x) == -1)
 
     def p_basis(self):
         from .algebra import gen_ij

@@ -170,9 +170,9 @@ def j_structure_report(J: JMatrix) -> dict:
 class SemiclassicalJ:
     """Entries as commuting polynomials in (x21, x11): {(p, q): coeff}."""
 
-    def __init__(self, N: int, entries: dict | None = None):
+    def __init__(self, N: int):
         self.N = N
-        self.entries = {} if entries is None else entries
+        self.entries = {}
 
     def add(self, row, col, x21_exp: int, x11_exp: int, coeff):
         coeff = Fraction(coeff)
@@ -289,7 +289,7 @@ def _jc_as_matrix(N: int) -> SemiclassicalJ:
     return out
 
 
-def semiclassical_closed_form(N: int, second_family: str = "statement") -> SemiclassicalJ:
+def semiclassical_closed_form(N: int, second_family: str) -> SemiclassicalJ:
     """Candidate closed form: j_c plus the two dynamical families.
 
     second_family selects the printed variant of the E_{i,1} family:

@@ -1,16 +1,15 @@
 """Whittaker vectors for the vector representation over the subregular pyramid.
 
-For target index N-j >= 2 the vector is
+Every vector is built from one formula in the truncated T-elements,
 
-    vtilde_{N-j} = 1 ⊗ v_{N-j} + sum_{i=0}^{j-1} (-1)^{j-i} * [k=i+1]T^(j-i)_[22;1] ⊗ v_{N-i},
+    vtilde_{N-j} = 1 ⊗ v_{N-j} + sum_{i=0}^{s-1} (-1)^{s-i} * [k=i+1]T^(s-i)_[a2;1] ⊗ v_{N-i},
 
-with truncated T-elements as coefficients.  For target index 1 the same
-shape uses the [12;1] family; the printed sources disagree by one on its
-superscript, so both candidates are tried and the invariance check picks
-the one that works (the choice is recorded on the basis object).  Every
-built vector is gated through the invariance check; a failure raises
-with the offending m-generator, since this is the verification point of
-the whole construction.
+with (a, s) = (2, j) when N-j >= 2 and (a, s) = (1, j-1) for vtilde_1.
+The printed sources disagree by one on the [12;1] superscript; the other
+reading, N-i-1 instead of N-i-2, fails invariance (a test pins this).
+Every built vector is gated through the invariance check; a failure
+raises with the offending m-generator, since this is the verification
+point of the whole construction.
 
 The gate runs ad_action over the N-1 Lie generators of m
 (Pyramid.m_generators), not over all of m, and this is exact: ad xi is
@@ -42,8 +41,6 @@ from .modules import (
     right_act,
 )
 from .pyramid import Pyramid
-
-V1_EXPONENT_CANDIDATES = ("N-i-2", "N-i-1")
 
 
 class WhittakerError(Exception):
@@ -154,66 +151,38 @@ def t12_l_linear_closed_form(p: Pyramid, rho: int, mode: str) -> AlgebraElement:
 # ----------------------------------------------------------------------
 # vector construction
 # ----------------------------------------------------------------------
-def _tilde_v_candidate(N: int, j: int, v1_exponent: str) -> ModuleElement:
+def _tilde_v(N: int, j: int) -> ModuleElement:
     p = Pyramid.subregular(N)
-    target = N - j
-    vec = ModuleElement.basis_vector(p, target)
-    if target != 1:
-        for i in range(0, j):
-            t = truncated_t(p, i + 1, 2, 2, 1, j - i)
-            sign = -1 if (j - i) % 2 else 1
-            vec = vec + ModuleElement.embed(t.value, p, (N - i,)).scale(sign)
-    else:
-        for i in range(0, N - 2):
-            r = (N - i - 2) if v1_exponent == "N-i-2" else (N - i - 1)
-            if r <= 0:
-                continue
-            t = truncated_t(p, i + 1, 1, 2, 1, r)
-            sign = -1 if (N - i - 2) % 2 else 1
-            vec = vec + ModuleElement.embed(t.value, p, (N - i,)).scale(sign)
+    a, s = (2, j) if N - j >= 2 else (1, j - 1)
+    vec = ModuleElement.basis_vector(p, N - j)
+    for i in range(s):
+        t = truncated_t(p, i + 1, a, 2, 1, s - i)
+        sign = -1 if (s - i) % 2 else 1
+        vec = vec + ModuleElement.embed(t.value, p, (N - i,)).scale(sign)
     return reduce_mod_m_psi(vec)
 
 
-def build_tilde_v(N: int, j: int, v1_exponent: str | None = None):
+def build_tilde_v(N: int, j: int) -> ModuleElement:
     """The invariant vector with leading slot N-j, gated through the
-    invariance check.  Returns (vector, chosen v1 exponent convention or
-    None when the [22;1] family was used)."""
+    invariance check."""
     if not 0 <= j <= N - 1:
         raise ValueError("j=%d out of range 0..%d" % (j, N - 1))
-    if v1_exponent not in (None,) + V1_EXPONENT_CANDIDATES:
-        raise ValueError("unknown v1 exponent convention %r" % (v1_exponent,))
-    gens = Pyramid.subregular(N).m_generators()
-    if N - j != 1:
-        vec = _tilde_v_candidate(N, j, "N-i-2")
-        ok, xi, res = is_whittaker(vec, gens)
-        if not ok:
-            raise WhittakerError(
-                "vtilde_%d over N=%d is not invariant: ad E%r left %r" % (N - j, N, xi, res)
-            )
-        return vec, None
-    candidates = (v1_exponent,) if v1_exponent else V1_EXPONENT_CANDIDATES
-    failures = []
-    for cand in candidates:
-        vec = _tilde_v_candidate(N, j, cand)
-        ok, xi, res = is_whittaker(vec, gens)
-        if ok:
-            return vec, cand
-        failures.append((cand, xi))
-    raise WhittakerError(
-        "vtilde_1 over N=%d fails invariance for every exponent convention: %r"
-        % (N, failures)
-    )
+    vec = _tilde_v(N, j)
+    ok, xi, res = is_whittaker(vec, Pyramid.subregular(N).m_generators())
+    if not ok:
+        raise WhittakerError(
+            "vtilde_%d over N=%d is not invariant: ad E%r left %r" % (N - j, N, xi, res)
+        )
+    return vec
 
 
 class WhittakerBasis:
     """The N generating invariant vectors, indexed by leading slot."""
 
-    def __init__(self, pyramid: Pyramid, vectors: dict, canonical: bool = False,
-                 conventions: dict | None = None):
+    def __init__(self, pyramid: Pyramid, vectors: dict, canonical: bool = False):
         self.pyramid = pyramid
         self.vectors = vectors  # leading slot -> ModuleElement
         self.canonical = canonical
-        self.conventions = {} if conventions is None else conventions
 
     @property
     def N(self) -> int:
@@ -224,15 +193,8 @@ class WhittakerBasis:
 
 
 def build_basis(N: int) -> WhittakerBasis:
-    p = Pyramid.subregular(N)
-    vectors = {}
-    conventions = {}
-    for j in range(N):
-        vec, conv = build_tilde_v(N, j)
-        vectors[N - j] = vec
-        if conv is not None:
-            conventions["v1_exponent"] = conv
-    return WhittakerBasis(pyramid=p, vectors=vectors, conventions=conventions)
+    vectors = {N - j: build_tilde_v(N, j) for j in range(N)}
+    return WhittakerBasis(pyramid=Pyramid.subregular(N), vectors=vectors)
 
 
 _ELIMINATION_PASS_BOUND = 64
@@ -277,8 +239,6 @@ def is_canonical_vector(vec: ModuleElement, leading: int, p: Pyramid) -> bool:
 
 def canonicalize(basis: WhittakerBasis) -> WhittakerBasis:
     """Remove all l-constant coefficient parts, top slot first."""
-    if basis.canonical:
-        return basis
     p = basis.pyramid
     out: dict = {}
     for leading in range(p.N, 0, -1):
@@ -294,9 +254,7 @@ def canonicalize(basis: WhittakerBasis) -> WhittakerBasis:
         if not ok:
             raise WhittakerError("canonicalization broke invariance at slot %r" % (xi,))
         out[leading] = vec
-    return WhittakerBasis(
-        pyramid=p, vectors=out, canonical=True, conventions=dict(basis.conventions)
-    )
+    return WhittakerBasis(pyramid=p, vectors=out, canonical=True)
 
 
 def canonical_basis(N: int) -> WhittakerBasis:
@@ -321,9 +279,3 @@ def in_head_product(x: AlgebraElement, head, p: Pyramid) -> bool:
     y = x.change_order(adapted)
     head_set = set(head_codes)
     return all(m and m[0][0] in head_set for m in y.monomials())
-
-
-def truncated_borel(p: Pyramid, blocks: int):
-    """Borel-type generator set of the pyramid truncated to the given
-    number of blocks: E_kl with k <= l <= blocks-1 and l >= 2."""
-    return [(k, l) for k in range(1, blocks) for l in range(max(k, 2), blocks)]

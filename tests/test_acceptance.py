@@ -12,13 +12,11 @@ test applies t to the printed dynamical families before comparing.
 
 import time
 
-import pytest
-
 from walgebra.algebra import AlgebraElement
 from walgebra.bk import t1_closed_form, t_element, truncated_t
 from walgebra.checks import engine_health
 from walgebra.geometry import verify_inverse
-from walgebra.modules import ad_action, is_whittaker
+from walgebra.modules import ad_action
 from walgebra.pyramid import Pyramid
 from walgebra.tensorj import (
     SemiclassicalJ,

@@ -1,4 +1,4 @@
-"""Every definition of the package has a caller.
+"""Every definition of the package has a caller, and every import a use.
 
 An AST scan of src/, tests/ and perfbench/ requires a reference, outside
 the definition's own body, for each top-level function and class and
@@ -7,6 +7,10 @@ referenced by a name, an attribute or an import of it; a method by an
 attribute `.name` or by a string constant "Class.name", the form the
 benchmark tracer's SPANS use.  Words in docstrings and comments do not
 count: a string counts only when it is exactly "Class.name".
+
+A second scan requires each name an import binds in a file of src/ or
+tests/ to be read as a name somewhere in that file, or listed in its
+__all__; `from __future__` imports are exempt.
 """
 
 from __future__ import annotations
@@ -71,3 +75,31 @@ def test_every_definition_is_referenced():
             if not any(node not in where for key in wanted for where in refs.get(key, ())):
                 unreferenced.append(label)
     assert unreferenced == []
+
+
+def _unused_imports(tree: ast.Module):
+    bound = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(set(bound) - used)
+
+
+def test_every_import_is_used():
+    unused = {}
+    for top in ("src", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            names = _unused_imports(tree)
+            if names:
+                unused[str(path.relative_to(ROOT))] = names
+    assert unused == {}

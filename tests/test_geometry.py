@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from walgebra.geometry import (
-    RMatrixElement,
     WonderbolicBasis,
     _det_exact,
     jc_closed_form,

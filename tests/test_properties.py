@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from walgebra.algebra import AlgebraElement, GeneratorOrder, normal_order_word
+from walgebra.algebra import AlgebraElement, normal_order_word
 from walgebra.hbar import HbarPoly
 from walgebra.modules import ModuleElement, fuse, reduce_mod_m_psi
 from walgebra.pyramid import Pyramid

@@ -15,7 +15,6 @@ from walgebra.modules import (
 )
 from walgebra.pyramid import Pyramid
 from walgebra.tensorj import (
-    JMatrix,
     SemiclassicalJ,
     TensorJError,
     compare_semiclassical,
@@ -359,7 +358,6 @@ def test_semiclassical_value_equality():
     assert limit(4, 1) == limit(4, 1)
     assert limit(4, 1) != limit(5, 1)
     assert limit(4, 1) != limit(4, 2)
-    assert SemiclassicalJ(4) == SemiclassicalJ(4, {})
     assert SemiclassicalJ(4).entries is not SemiclassicalJ(4).entries
 
 

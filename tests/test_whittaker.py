@@ -6,17 +6,15 @@ from walgebra.algebra import AlgebraElement
 from walgebra.bk import subregular_w_generators, t_element, truncated_t
 from walgebra.modules import (
     ModuleElement,
-    b_reduction_is_zero,
     is_whittaker,
     reduce_mod_b_left,
     reduce_mod_m_psi,
 )
 from walgebra.pyramid import Pyramid
 from walgebra.whittaker import (
-    V1_EXPONENT_CANDIDATES,
     WhittakerBasis,
     WhittakerError,
-    _tilde_v_candidate,
+    _tilde_v,
     asymptotic_parts,
     build_basis,
     build_tilde_v,
@@ -29,7 +27,6 @@ from walgebra.whittaker import (
     linear_part_closed_form,
     t12_l_linear_closed_form,
     t22_l_linear_closed_form,
-    truncated_borel,
 )
 
 
@@ -41,18 +38,28 @@ def H(order, power=1, c=1):
     return AlgebraElement.scalar(order, c).times_hbar(power)
 
 
+def _v1_superscript_one_higher(N):
+    """vtilde_1 with the other printed [12;1] superscript, N-i-1 instead
+    of N-i-2, and the same signs."""
+    p = Pyramid.subregular(N)
+    vec = ModuleElement.basis_vector(p, 1)
+    for i in range(N - 2):
+        t = truncated_t(p, i + 1, 1, 2, 1, N - i - 1)
+        sign = -1 if (N - i - 2) % 2 else 1
+        vec = vec + ModuleElement.embed(t.value, p, (N - i,)).scale(sign)
+    return reduce_mod_m_psi(vec)
+
+
 def test_tilde_v_j0_is_basis_vector():
     for N in (2, 3, 4):
-        vec, conv = build_tilde_v(N, 0)
-        assert vec == ModuleElement.basis_vector(Pyramid.subregular(N), N)
-        assert conv is None
+        assert build_tilde_v(N, 0) == ModuleElement.basis_vector(Pyramid.subregular(N), N)
 
 
 def test_tilde_v2_n3_hand_value():
     # vtilde_2 = 1 ⊗ v2 - (E22 - hbar) ⊗ v3
     p = Pyramid.subregular(3)
     o = p.default_order()
-    vec, _ = build_tilde_v(3, 1)
+    vec = build_tilde_v(3, 1)
     expected = ModuleElement.basis_vector(p, 2) - reduce_mod_m_psi(
         ModuleElement.embed(E(o, 2, 2) - H(o), p, (3,))
     )
@@ -60,26 +67,19 @@ def test_tilde_v2_n3_hand_value():
 
 
 def test_tilde_v1_n3_hand_value_and_convention():
-    # vtilde_1 = 1 ⊗ v1 - E12 ⊗ v3, and the shorter exponent wins
+    # vtilde_1 = 1 ⊗ v1 - E12 ⊗ v3: the superscript N-i-2, not N-i-1
     p = Pyramid.subregular(3)
     o = p.default_order()
-    vec, conv = build_tilde_v(3, 2)
+    vec = build_tilde_v(3, 2)
     expected = ModuleElement.basis_vector(p, 1) - reduce_mod_m_psi(
         ModuleElement.embed(E(o, 1, 2), p, (3,))
     )
     assert vec == expected
-    assert conv == "N-i-2"
+    assert vec != _v1_superscript_one_higher(3)
 
 
 def test_tilde_v1_other_exponent_fails():
-    with pytest.raises(WhittakerError):
-        build_tilde_v(3, 2, v1_exponent="N-i-1")
-
-
-def test_tilde_v_unknown_exponent_rejected():
-    for j in (0, 2):
-        with pytest.raises(ValueError, match="bogus"):
-            build_tilde_v(3, j, v1_exponent="bogus")
+    assert not is_whittaker(_v1_superscript_one_higher(3))[0]
 
 
 def test_t22_closed_form_unknown_mode_rejected():
@@ -96,12 +96,7 @@ def test_canonical_basis_shares_one_order():
 
 
 def test_basis_defaults_are_fresh_per_instance():
-    p = Pyramid.subregular(3)
-    a = WhittakerBasis(p, {})
-    b = WhittakerBasis(p, {})
-    assert a.canonical is False
-    assert a.conventions == {}
-    assert a.conventions is not b.conventions
+    assert WhittakerBasis(Pyramid.subregular(3), {}).canonical is False
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
@@ -267,7 +262,6 @@ def test_generator_gate_agrees_with_full_check(N):
     o = p.default_order()
     rng = random.Random(300 + N)
     basis = canonical_basis(N)
-    assert basis.conventions == {"v1_exponent": "N-i-2"}
     rejected = 0
     for i in range(1, N + 1):
         vec = basis.vector(i)
@@ -279,11 +273,8 @@ def test_generator_gate_agrees_with_full_check(N):
             bump = reduce_mod_m_psi(ModuleElement.embed(x, p, (rng.randint(1, N),)))
             rejected += not _same_verdict(vec + bump)
     assert rejected >= N
-    # the v1 exponent convention the gate rejects
-    other, = (c for c in V1_EXPONENT_CANDIDATES if c != "N-i-2")
-    assert not _same_verdict(_tilde_v_candidate(N, N - 1, other))
-    with pytest.raises(WhittakerError):
-        build_tilde_v(N, N - 1, v1_exponent=other)
+    # the other printed [12;1] superscript, which the gate rejects
+    assert not _same_verdict(_v1_superscript_one_higher(N))
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
@@ -293,18 +284,17 @@ def test_negated_psi_rejects_printed_vectors(N, monkeypatch):
     psi = Pyramid.subregular(N).psi()
     for key, val in psi.values.items():
         monkeypatch.setitem(psi.values, key, -val)
-    assert _same_verdict(_tilde_v_candidate(N, 0, "N-i-2"))
+    assert _same_verdict(_tilde_v(N, 0))
     for j in range(1, N):
-        for conv in V1_EXPONENT_CANDIDATES if j == N - 1 else ("N-i-2",):
-            assert not _same_verdict(_tilde_v_candidate(N, j, conv)), (j, conv)
+        assert not _same_verdict(_tilde_v(N, j)), j
         with pytest.raises(WhittakerError):
             build_tilde_v(N, j)
+    assert not _same_verdict(_v1_superscript_one_higher(N))
 
 
 def test_canonicalize_idempotent():
     basis = canonical_basis(4)
-    again = canonicalize(basis)
-    assert again is basis
+    assert canonicalize(basis).vectors == basis.vectors
 
 
 def test_triangularity_of_change_log():
@@ -343,7 +333,7 @@ def test_refined_borel_support():
                 q = slots[0]
                 if q == i:
                     continue
-                head = truncated_borel(p, q)
+                head = Pyramid.subregular(q).subregular_roles()[0]
                 assert in_head_product(u, head, p), (N, i, q)
 
 
