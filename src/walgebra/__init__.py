@@ -6,7 +6,8 @@ coefficients in Q[hbar].  Algebra elements key each term by
 hbar-degree); both hold a bare rational per term, an int where integral
 and a Fraction otherwise, and scalars are rationals, so the engine
 builds no polynomial objects.  HbarPoly, the polynomial in hbar, is only
-the JSON and rendering form of a coefficient.  All products are
+the rendering form of a coefficient and the form JSON is read through;
+JSON is written from the bare rationals.  All products are
 rewritten into PBW normal form with respect to an explicit total order
 on the matrix-unit generators.  On top of that core it builds pyramid combinatorics, the
 degree-filtered invariants T^(r) of Brundan-Kleshchev type, Whittaker

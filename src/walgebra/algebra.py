@@ -196,12 +196,14 @@ class TermMap:
     and a Fraction otherwise (see hbar._exact), so equal elements have
     equal term maps; any other value raises TypeError.  Scalars are
     rationals; a polynomial in hbar is an edge type only: it leaves
-    through sorted_terms (JSON and rendering) and enters through
-    from_terms and the from_json readers.
+    through sorted_terms (rendering) and enters through from_terms and
+    the from_json readers.  JSON leaves through _json_terms, which
+    writes the bare rationals as "p/q" strings; both share _grouped's
+    grouping and order.
 
     A subclass supplies _check_compatible(other), which raises on mixed
     ambient data, _with(terms), which builds an element with the same
-    ambient data as self, and order, the generator order whose ranks
+    ambient data as self, N, and order, the generator order whose ranks
     sort the monomials.
     """
 
@@ -249,24 +251,48 @@ class TermMap:
         """The terms whose monomial satisfies pred."""
         return self._with({k: c for k, c in self.terms.items() if pred(k[0])})
 
-    def sorted_terms(self):
-        """[(key, HbarPoly)], one entry per term key without its degree
-        ((monomial,) or (monomial, slots)), the degrees gathered into one
-        polynomial: ordered by slots where the key has them, then total
-        degree, then rank sequence of the monomial."""
+    def _grouped(self) -> list:
+        """[(key, {d: c})], one entry per term key without its degree
+        ((monomial,) or (monomial, slots)) with its coefficient at each
+        hbar-degree, gathered in one pass: ordered by slots where the
+        key has them, then total degree, then rank sequence of the
+        monomial, each sort key computed once."""
         by_key: dict = {}
         for k, c in self.terms.items():
             by_key.setdefault(k[:-1], {})[k[-1]] = c
         ranks = self.order.ranks
+        return sorted(
+            by_key.items(),
+            key=lambda item: (
+                item[0][1:],
+                sum([e for _, e in item[0][0]]),
+                [(ranks[g], e) for g, e in item[0][0]],
+            ),
+        )
 
-        def sort_key(item):
-            m, *slots = item[0]
-            return (slots, sum(e for _, e in m), tuple((ranks[g], e) for g, e in m))
-
+    def sorted_terms(self):
+        """[(key, HbarPoly)] in the order of _grouped: the rendering form."""
         return [
             (key, HbarPoly([by_d.get(d, 0) for d in range(max(by_d) + 1)]))
-            for key, by_d in sorted(by_key.items(), key=sort_key)
+            for key, by_d in self._grouped()
         ]
+
+    def _json_terms(self) -> list:
+        """The "terms" list of to_json, in the order of _grouped: per key
+        its "mono" as [i, j, exponent] triples, its "slots" where the key
+        has them, and its "coeff", one "p/q" string per hbar-degree from
+        0 to the largest."""
+        N = self.N
+        out = []
+        for key, by_d in self._grouped():
+            coeff = ["0/1"] * (max(by_d) + 1)
+            for d, c in by_d.items():
+                coeff[d] = "%d/1" % c if type(c) is int else "%d/%d" % (c.numerator, c.denominator)
+            term = {"mono": [[g // N + 1, g % N + 1, e] for g, e in key[0]], "coeff": coeff}
+            if len(key) > 1:
+                term["slots"] = list(key[1])
+            out.append(term)
+        return out
 
 
 class AlgebraElement(TermMap):
@@ -403,16 +429,7 @@ class AlgebraElement(TermMap):
     # serialization: {"N":…, "terms":[{"mono":[[i,j,exp]…], "coeff":[…]}]}
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
-        N = self.N
-        terms = []
-        for (m,), c in self.sorted_terms():
-            terms.append(
-                {
-                    "mono": [[*gen_ij(N, g), e] for g, e in m],
-                    "coeff": c.to_json(),
-                }
-            )
-        return {"N": N, "terms": terms}
+        return {"N": self.N, "terms": self._json_terms()}
 
     @classmethod
     def from_json(cls, data: dict, order: GeneratorOrder) -> "AlgebraElement":

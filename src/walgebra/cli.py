@@ -38,13 +38,15 @@ from .reports import VerificationReport, write_json
 
 
 def _emit(data: dict, table, args) -> None:
-    """Write data to --out, then data (--format json) or table() to stdout."""
+    """Write data to --out and, under --format json, to stdout, from one
+    encoding; under --format table print table()."""
+    files = [sys.stdout] if args.format == "json" else []
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            write_json(data, fh)
-    if args.format == "json":
-        write_json(data, sys.stdout)
-    else:
+            write_json(data, fh, *files)
+    elif files:
+        write_json(data, *files)
+    if not files:
         print(table())
 
 

@@ -6,11 +6,12 @@ coefficient an int where it is integral and a Fraction otherwise, so
 equality of values is equality of representations.  There is no floating
 point anywhere in this package.
 
-HbarPoly is the edge form of a coefficient, not the engine's arithmetic:
-element terms hold one bare rational per hbar-degree (algebra.TermMap).
-A polynomial enters a term map only through AlgebraElement.from_terms
-and the two from_json readers, and leaves one only through
-TermMap.sorted_terms, for JSON and rendering.  The ring operations +, *,
+HbarPoly is the rendering form of a coefficient, not the engine's
+arithmetic: element terms hold one bare rational per hbar-degree
+(algebra.TermMap).  A polynomial enters a term map only through
+AlgebraElement.from_terms and the two from_json readers, and leaves one
+only through TermMap.sorted_terms, for rendering; to_json writes the bare
+rationals as "p/q" strings without building one.  The ring operations +, *,
 scale and shift have no caller in the package; the benchmark's tracer
 (perfbench/tracer.py) binds each of them by name, so they stay until it
 counts the bare term coefficients instead.
@@ -85,9 +86,6 @@ class HbarPoly:
         if not self.coeffs:
             return ZERO
         return HbarPoly((0,) * power + self.coeffs)
-
-    def to_json(self) -> list:
-        return ["%d/%d" % (c.numerator, c.denominator) for c in self.coeffs]
 
     def __repr__(self):
         return "HbarPoly(%r)" % (self.coeffs,)

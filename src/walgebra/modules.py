@@ -7,9 +7,11 @@ term c * hbar^d * monomial ⊗ v_slots, in the term format of
 algebra.TermMap.  The slot tuple lists basis indices of the t tensor
 factors.  An AlgebraElement's terms {(monomial, d): c} are the same
 format without the slots, so embed, by_slots and coefficient_at move
-terms between the two as they are.  Coefficients become polynomials in
-hbar only at the edge: TermMap.sorted_terms gathers them for to_json and
-rendering, and from_json reads them through AlgebraElement.from_json.
+terms between the two as they are.  Coefficients leave as they are
+stored: to_json writes them through the one term formatter
+(TermMap._json_terms) and rendering gathers them into polynomials in
+hbar (TermMap.sorted_terms); from_json reads them through
+AlgebraElement.from_json.
 
 The generator order is the pyramid's default_order(), never passed in: one
 interned pyramid per N, one pair cache, used by every product (_add_product).
@@ -131,17 +133,7 @@ class ModuleElement(TermMap):
     # serialization: {"N":…, "t":…, "terms":[{"mono":…, "slots":…, "coeff":…}]}
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
-        N = self.N
-        terms = []
-        for (m, s), c in self.sorted_terms():
-            terms.append(
-                {
-                    "mono": [[*gen_ij(N, g), e] for g, e in m],
-                    "slots": list(s),
-                    "coeff": c.to_json(),
-                }
-            )
-        return {"N": N, "t": self.t, "terms": terms}
+        return {"N": self.N, "t": self.t, "terms": self._json_terms()}
 
     @classmethod
     def from_json(cls, data: dict, pyramid: Pyramid) -> "ModuleElement":

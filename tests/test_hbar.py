@@ -3,6 +3,7 @@ import os
 from fractions import Fraction
 
 import walgebra
+from walgebra.algebra import AlgebraElement, GeneratorOrder
 from walgebra.hbar import ZERO, HbarPoly
 
 
@@ -24,16 +25,22 @@ def test_arithmetic_exact():
 
 
 def test_json_round_trip():
+    # a coefficient leaves as one "p/q" string per hbar-degree and is read
+    # back through HbarPoly
+    order = GeneratorOrder.lex(2)
     p = HbarPoly((Fraction(-3, 7), 0, Fraction(22)))
-    assert HbarPoly(p.to_json()) == p
-    assert p.to_json() == ["-3/7", "0/1", "22/1"]
+    el = AlgebraElement.from_terms(order, {(): p})
+    assert el.to_json()["terms"] == [{"mono": [], "coeff": ["-3/7", "0/1", "22/1"]}]
+    assert AlgebraElement.from_json(el.to_json(), order) == el
+    assert el.sorted_terms() == [(((),), p)]
 
 
 def test_integral_sum_is_stored_as_int():
     s = HbarPoly((Fraction(1, 2),)) + HbarPoly((Fraction(1, 2),))
     assert s.coeffs == (1,)
     assert type(s.coeffs[0]) is int
-    assert s.to_json() == ["1/1"]
+    el = AlgebraElement.from_terms(GeneratorOrder.lex(2), {(): s})
+    assert el.to_json()["terms"][0]["coeff"] == ["1/1"]
 
 
 def test_one_representation_per_value():

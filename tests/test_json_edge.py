@@ -1,0 +1,234 @@
+"""The JSON edge: reports.write_json against json's own indent-1 text, and
+the term formatter behind both to_json methods against a rebuild from
+sorted_terms and HbarPoly."""
+
+import io
+import json
+import os
+from fractions import Fraction
+
+import pytest
+
+from walgebra import cli
+from walgebra.algebra import AlgebraElement, gen_code, gen_ij
+from walgebra.modules import ModuleElement
+from walgebra.pyramid import Pyramid
+from walgebra.reports import write_json
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def _oracle(data) -> str:
+    return json.dumps(data, indent=1, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def _written(data) -> str:
+    buf = io.StringIO()
+    write_json(data, buf)
+    return buf.getvalue()
+
+
+T_ARGS = ["--i", "2", "--j", "2", "--x", "1", "--r", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute-T", "--pyramid", "subreg:4", *T_ARGS],
+        ["compute-T", "--pyramid", "1,3,3,1", *T_ARGS],
+        ["verify-whittaker", "--N", "3"],
+        ["verify-whittaker", "--N", "3", "--canonical"],
+        ["compute-J", "--N", "3", "--compare"],
+        ["check-omega", "--N", "3"],
+        ["selftest", "--N", "3", "--cases", "5"],
+    ],
+    ids=[
+        "compute-T-subreg4",
+        "compute-T-1331",
+        "verify-whittaker",
+        "verify-whittaker-canonical",
+        "compute-J-compare",
+        "check-omega",
+        "selftest",
+    ],
+)
+def test_command_json_is_json_dumps(capsys, monkeypatch, argv):
+    # the payload each command hands to the writer, encoded by json itself
+    payloads = []
+
+    def recording(data, *files):
+        payloads.append(data)
+        write_json(data, *files)
+
+    monkeypatch.setattr(cli, "write_json", recording)
+    cli.main(argv + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert len(payloads) == 1
+    assert out == _oracle(payloads[0])
+
+
+@pytest.mark.parametrize("name", ["j3_report.json", "t_subreg4_2212.json"])
+def test_fixture_json_is_json_dumps(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        text = fh.read()
+    data = json.loads(text)
+    assert _written(data) == _oracle(data) == text
+
+
+SYNTHETIC = {
+    "empty": {"dict": {}, "list": [], "tuple": ()},
+    "nested_empty": [{}, [], [[]], {"a": {}}, [{}], ({},)],
+    "tuple": (1, "two", (3, None)),
+    "atoms": [None, True, False, 0, -1, 2**200, -(2**200)],
+    "floats": [0.0, -1e-7, 1e300, 0.1, -0.0, 1.5],
+    "ints": [1, -2, 3],
+    "strs": ["a", "b\"", "ℏ"],
+    "mixed": [1, "x", None, 2.5, True, [], {}],
+    "text": 'quote " backslash \\ tab \t newline \n nul \x00 bell \x07 del \x7f ℏ⊗ℏ',
+    "keys": {"ℏ": 1, "⊗": 2, 'q"': 3, "\\": 4, "\n": 5, "": 6, "B": 7, "a": 8},
+    "deep": {"a": {"b": {"c": {"d": {"e": [[[[1, [2, {"f": "g"}]]]]]}}}}},
+    "many": [{"i": i, "v": [str(i), i]} for i in range(3000)],
+}
+
+
+def test_synthetic_json_is_json_dumps():
+    assert _written(SYNTHETIC) == _oracle(SYNTHETIC)
+    for value in SYNTHETIC.values():
+        assert _written(value) == _oracle(value)
+        assert _written([value]) == _oracle([value])
+    for atom in (None, True, False, 7, -0.5, "ℏ", [], {}, ()):
+        assert _written(atom) == _oracle(atom)
+
+
+def test_nonfinite_floats_as_json_writes_them():
+    data = [float("nan"), float("inf"), -float("inf"), {"x": [float("inf")]}]
+    assert _written(data) == _oracle(data)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 4])
+def test_non_str_key_raises_type_error(depth):
+    # json would write the int key as "1"; the writer takes str keys only
+    data = {1: "one"}
+    for _ in range(depth):
+        data = {"k": [data]}
+    assert json.dumps(data)
+    with pytest.raises(TypeError):
+        write_json(data, io.StringIO())
+
+
+def test_unserializable_value_raises_type_error():
+    for data in (Fraction(1, 2), {"x": {1, 2}}, [[[object()]]]):
+        with pytest.raises(TypeError):
+            write_json(data, io.StringIO())
+
+
+class _Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_outer_levels_stream_in_batches():
+    # a long list near the top goes out in several writes, none of them
+    # the whole document, and every file gets the same text
+    data = {"element": {"terms": [{"coeff": ["1/1"], "mono": [[1, 2, 1]]}] * 4000}}
+    a, b = _Recorder(), _Recorder()
+    write_json(data, a, b)
+    assert a.writes == b.writes
+    assert len(a.writes) > 2
+    text = "".join(a.writes)
+    assert text == _oracle(data)
+    assert max(map(len, a.writes)) < len(text) / 2
+
+
+def test_emit_encodes_once_for_out_and_stdout(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def recording(data, *files):
+        calls.append(len(files))
+        write_json(data, *files)
+
+    monkeypatch.setattr(cli, "write_json", recording)
+    out_path = tmp_path / "t.json"
+    argv = ["compute-T", "--pyramid", "1,3,3,1", *T_ARGS, "--format", "json"]
+    assert cli.main(argv + ["--out", str(out_path)]) == 0
+    out = capsys.readouterr().out
+    assert calls == [2]
+    assert out_path.read_bytes() == out.encode("utf-8")
+    assert json.loads(out)["element"]["terms"]
+
+
+# ----------------------------------------------------------------------
+# the term formatter
+# ----------------------------------------------------------------------
+def _json_rebuilt(el) -> list:
+    """to_json's "terms" rebuilt from sorted_terms and HbarPoly."""
+    N = el.N
+    terms = []
+    for key, poly in el.sorted_terms():
+        term = {
+            "mono": [[*gen_ij(N, g), e] for g, e in key[0]],
+            "coeff": ["%d/%d" % (Fraction(c).numerator, Fraction(c).denominator) for c in poly.coeffs],
+        }
+        if len(key) > 1:
+            term["slots"] = list(key[1])
+        terms.append(term)
+    return terms
+
+
+P3 = Pyramid.subregular(3)
+ORDER = P3.default_order()
+E21 = ((gen_code(3, 2, 1), 1),)
+E12_E33 = ((gen_code(3, 1, 2), 1), (gen_code(3, 3, 3), 2))
+
+ALGEBRA = {
+    "fractions": {(E21, 0): Fraction(1, 2), (E12_E33, 1): Fraction(-7, 3), ((), 0): 4},
+    "degree-gap": {(E21, 2): Fraction(5, 6)},
+    "unit": {((), 0): -1, ((), 3): Fraction(2, 9)},
+    "zero": {},
+}
+MODULE = {
+    "fractions": {(E21, (1, 2), 0): Fraction(1, 2), (E12_E33, (3, 1), 1): -3},
+    "degree-gap": {(E21, (2, 2), 2): Fraction(-5, 4)},
+    "repeated-monomial": {
+        (E12_E33, (1, 2), 0): 2,
+        (E12_E33, (2, 1), 0): Fraction(1, 3),
+        (E12_E33, (2, 1), 2): -1,
+        (E12_E33, (1, 1), 1): 7,
+    },
+    "unit": {((), (1, 3), 0): 1, ((), (3, 1), 1): Fraction(-1, 2)},
+    "zero": {},
+}
+
+
+def _order_key(term):
+    """The documented term order: slots, then total degree, then the rank
+    sequence of the monomial."""
+    mono = [(ORDER.ranks[gen_code(3, i, j)], e) for i, j, e in term["mono"]]
+    return term.get("slots", []), sum(e for _, e in mono), mono
+
+
+@pytest.mark.parametrize("case", sorted(ALGEBRA))
+def test_algebra_to_json_matches_rebuild(case):
+    el = AlgebraElement(ORDER, ALGEBRA[case])
+    data = el.to_json()
+    assert data == {"N": 3, "terms": _json_rebuilt(el)}
+    assert data["terms"] == sorted(data["terms"], key=_order_key)
+    assert AlgebraElement.from_json(data, ORDER) == el
+
+
+@pytest.mark.parametrize("case", sorted(MODULE))
+def test_module_to_json_matches_rebuild(case):
+    el = ModuleElement(P3, 2, MODULE[case])
+    data = el.to_json()
+    assert data == {"N": 3, "t": 2, "terms": _json_rebuilt(el)}
+    assert data["terms"] == sorted(data["terms"], key=_order_key)
+    assert ModuleElement.from_json(data, P3) == el
+
+
+def test_degree_gap_fills_zeros():
+    el = AlgebraElement(ORDER, ALGEBRA["degree-gap"])
+    assert el.to_json()["terms"] == [{"mono": [[2, 1, 1]], "coeff": ["0/1", "0/1", "5/6"]}]
+    assert AlgebraElement.zero(ORDER).to_json() == {"N": 3, "terms": []}
