@@ -211,7 +211,7 @@ def recursion_suite(N: int) -> list:
 def whittaker_suite(N: int, canonical: bool) -> tuple[list, dict]:
     """Build the basis (canonicalizing when asked) and check every vector
     against every element of m_basis(), not only the Lie generators the
-    build gates use: one record per (vector, m-element) pair.
+    canonicalize gate uses: one record per (vector, m-element) pair.
     Returns (records, metadata)."""
     basis = build_basis(N)
     if canonical:

@@ -112,7 +112,7 @@ def cmd_compute_j(args) -> int:
     report, code = _verify(
         args,
         "compute-J",
-        lambda: j_suite(args.N, compare=args.compare or args.semiclassical),
+        lambda: j_suite(args.N, compare=args.compare),
         hard=J_STRUCTURE_CHECKS,
     )
     cmp = report.meta.get("semiclassical") if args.compare else None
@@ -202,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     j = sub.add_parser("compute-J", help="tensor matrix, structure and limit")
     j.add_argument("--N", type=int, required=True)
-    j.add_argument("--semiclassical", action="store_true")
     j.add_argument("--compare", action="store_true")
     common(j)
     j.set_defaults(func=cmd_compute_j)

@@ -157,16 +157,12 @@ class ModuleElement(TermMap):
 # ----------------------------------------------------------------------
 # reduction modulo the shifted m-action
 # ----------------------------------------------------------------------
-def reduce_mod_m_psi(raw: ModuleElement, strategy: str = "stack") -> ModuleElement:
+def reduce_mod_m_psi(raw: ModuleElement) -> ModuleElement:
     """Rewrite to the reduced form with no m-generators in any monomial.
 
-    strategy picks which pending term is peeled next ("stack": most
-    recently produced; "sorted": smallest key); the rewrite is confluent,
-    so the result must not depend on it.  Any other strategy raises
-    ValueError.
+    The most recently produced pending term is peeled next; the rewrite
+    is linear and confluent, so the order does not change the result.
     """
-    if strategy not in ("stack", "sorted"):
-        raise ValueError("unknown reduction strategy %r" % (strategy,))
     p = raw.pyramid
     psi = p.psi()
     m_codes = p.m_codes()
@@ -178,11 +174,7 @@ def reduce_mod_m_psi(raw: ModuleElement, strategy: str = "stack") -> ModuleEleme
         steps += 1
         if steps > REDUCTION_STEP_BUDGET:
             raise ReductionError("reduction step budget exceeded; rewrite engine broken?")
-        if strategy == "stack":
-            key, c = pending.popitem()
-        else:
-            key = min(pending)
-            c = pending.pop(key)
+        key, c = pending.popitem()
         mono, slots, d = key
         if not mono or mono[-1][0] not in m_codes:
             if any(g in m_codes for g, _ in mono):
@@ -248,7 +240,7 @@ def ad_action(xi_ij, m: ModuleElement) -> ModuleElement:
 def is_whittaker(m: ModuleElement, elements=None):
     """Check invariance under the shifted m-action of each (i, j) in
     elements, by default every element of m_basis(): the full-m oracle.
-    The vector-building gates in whittaker pass the Lie generators of m
+    whittaker.canonicalize's gate passes the Lie generators of m
     (Pyramid.m_generators), which decides the same thing.
 
     Returns (True, None, None) or (False, offending (i,j), residue).

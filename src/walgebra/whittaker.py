@@ -7,9 +7,11 @@ Every vector is built from one formula in the truncated T-elements,
 with (a, s) = (2, j) when N-j >= 2 and (a, s) = (1, j-1) for vtilde_1.
 The printed sources disagree by one on the [12;1] superscript; the other
 reading, N-i-1 instead of N-i-2, fails invariance (a test pins this).
-Every built vector is gated through the invariance check; a failure
-raises with the offending m-generator, since this is the verification
-point of the whole construction.
+build_basis returns the raw vectors ungated.  canonicalize gates each
+canonical vector, raising with N, the leading slot and the offending
+m-generator; that one gate decides the raw vector too, since a raw vector
+is its canonical form plus right translates of higher canonical vectors,
+and right translates of invariant vectors are invariant.
 
 The gate runs ad_action over the N-1 Lie generators of m
 (Pyramid.m_generators), not over all of m, and this is exact: ad xi is
@@ -162,20 +164,6 @@ def _tilde_v(N: int, j: int) -> ModuleElement:
     return reduce_mod_m_psi(vec)
 
 
-def build_tilde_v(N: int, j: int) -> ModuleElement:
-    """The invariant vector with leading slot N-j, gated through the
-    invariance check."""
-    if not 0 <= j <= N - 1:
-        raise ValueError("j=%d out of range 0..%d" % (j, N - 1))
-    vec = _tilde_v(N, j)
-    ok, xi, res = is_whittaker(vec, Pyramid.subregular(N).m_generators())
-    if not ok:
-        raise WhittakerError(
-            "vtilde_%d over N=%d is not invariant: ad E%r left %r" % (N - j, N, xi, res)
-        )
-    return vec
-
-
 class WhittakerBasis:
     """The N generating invariant vectors, indexed by leading slot."""
 
@@ -193,7 +181,8 @@ class WhittakerBasis:
 
 
 def build_basis(N: int) -> WhittakerBasis:
-    vectors = {N - j: build_tilde_v(N, j) for j in range(N)}
+    """The raw vectors, ungated: canonicalize gates their canonical forms."""
+    vectors = {N - j: _tilde_v(N, j) for j in range(N)}
     return WhittakerBasis(pyramid=Pyramid.subregular(N), vectors=vectors)
 
 
@@ -238,7 +227,8 @@ def is_canonical_vector(vec: ModuleElement, leading: int, p: Pyramid) -> bool:
 
 
 def canonicalize(basis: WhittakerBasis) -> WhittakerBasis:
-    """Remove all l-constant coefficient parts, top slot first."""
+    """Remove all l-constant coefficient parts, top slot first, and gate
+    each canonical vector on the Lie generators of m."""
     p = basis.pyramid
     out: dict = {}
     for leading in range(p.N, 0, -1):
@@ -252,7 +242,10 @@ def canonicalize(basis: WhittakerBasis) -> WhittakerBasis:
             )
         ok, xi, res = is_whittaker(vec, p.m_generators())
         if not ok:
-            raise WhittakerError("canonicalization broke invariance at slot %r" % (xi,))
+            raise WhittakerError(
+                "canonical v_%d over N=%d is not invariant: ad E%r left %r"
+                % (leading, p.N, xi, res)
+            )
         out[leading] = vec
     return WhittakerBasis(pyramid=p, vectors=out, canonical=True)
 

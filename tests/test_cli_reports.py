@@ -106,6 +106,7 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
             "--out directory does not exist",
         ),
         (["check-omega", "--N", "3", "--out", FIXTURES], "--out is a directory"),
+        (["compute-J", "--N", "3", "--semiclassical"], "unrecognized arguments: --semiclassical"),
     ],
     ids=[
         "missing-args",
@@ -118,6 +119,7 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
         "selftest-cases-0",
         "out-dir-missing",
         "out-is-dir",
+        "compute-J-semiclassical",
     ],
 )
 def test_usage_error_exit_code(capsys, argv, message):

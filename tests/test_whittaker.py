@@ -9,6 +9,7 @@ from walgebra.modules import (
     is_whittaker,
     reduce_mod_b_left,
     reduce_mod_m_psi,
+    right_act,
 )
 from walgebra.pyramid import Pyramid
 from walgebra.whittaker import (
@@ -17,7 +18,6 @@ from walgebra.whittaker import (
     _tilde_v,
     asymptotic_parts,
     build_basis,
-    build_tilde_v,
     canonical_basis,
     canonicalize,
     eliminate_l_constant,
@@ -52,14 +52,14 @@ def _v1_superscript_one_higher(N):
 
 def test_tilde_v_j0_is_basis_vector():
     for N in (2, 3, 4):
-        assert build_tilde_v(N, 0) == ModuleElement.basis_vector(Pyramid.subregular(N), N)
+        assert _tilde_v(N, 0) == ModuleElement.basis_vector(Pyramid.subregular(N), N)
 
 
 def test_tilde_v2_n3_hand_value():
     # vtilde_2 = 1 ⊗ v2 - (E22 - hbar) ⊗ v3
     p = Pyramid.subregular(3)
     o = p.default_order()
-    vec = build_tilde_v(3, 1)
+    vec = _tilde_v(3, 1)
     expected = ModuleElement.basis_vector(p, 2) - reduce_mod_m_psi(
         ModuleElement.embed(E(o, 2, 2) - H(o), p, (3,))
     )
@@ -70,7 +70,7 @@ def test_tilde_v1_n3_hand_value_and_convention():
     # vtilde_1 = 1 ⊗ v1 - E12 ⊗ v3: the superscript N-i-2, not N-i-1
     p = Pyramid.subregular(3)
     o = p.default_order()
-    vec = build_tilde_v(3, 2)
+    vec = _tilde_v(3, 2)
     expected = ModuleElement.basis_vector(p, 1) - reduce_mod_m_psi(
         ModuleElement.embed(E(o, 1, 2), p, (3,))
     )
@@ -287,9 +287,71 @@ def test_negated_psi_rejects_printed_vectors(N, monkeypatch):
     assert _same_verdict(_tilde_v(N, 0))
     for j in range(1, N):
         assert not _same_verdict(_tilde_v(N, j)), j
-        with pytest.raises(WhittakerError):
-            build_tilde_v(N, j)
     assert not _same_verdict(_v1_superscript_one_higher(N))
+    # the one gate, at the canonical form, names N, the slot and the generator
+    match = r"canonical v_%d over N=%d is not invariant: ad E\(%d, %d\)" % (N - 1, N, N, N - 1)
+    with pytest.raises(WhittakerError, match=match):
+        canonicalize(build_basis(N))
+
+
+def _gate(vec):
+    return is_whittaker(vec, vec.pyramid.m_generators())[0]
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_right_translates_of_canonical_vectors_are_invariant(N):
+    # the right U-action commutes with the left shifted m-action: the
+    # reason one gate, at the canonical form, decides each raw vector too
+    basis = canonical_basis(N)
+    o = basis.pyramid.default_order()
+    for e21, e11 in ((1, 0), (0, 1), (1, 1), (2, 1), (0, 2)):
+        c = AlgebraElement.one(o)
+        for _ in range(e21):
+            c = c * E(o, 2, 1)
+        for _ in range(e11):
+            c = c * E(o, 1, 1)
+        for q in range(1, N + 1):
+            ok, xi, _ = is_whittaker(right_act(basis.vector(q), c))
+            assert ok, (q, e21, e11, xi)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_gate_verdict_survives_elimination(N):
+    # a perturbed raw vector and its eliminated form differ by right
+    # translates of canonical vectors, so the gate agrees on the two
+    p = Pyramid.subregular(N)
+    o = p.default_order()
+    rng = random.Random(400 + N)
+    raw, canon = build_basis(N), canonical_basis(N)
+    l_monos = [AlgebraElement.one(o), E(o, 2, 1), E(o, 1, 1), E(o, 2, 1) * E(o, 1, 1)]
+    verdicts = []
+    for leading in range(N - 1, 0, -1):
+        higher = {(q,): canon.vector(q) for q in range(leading + 1, N + 1)}
+        for _ in range(4):
+            x = H(o, rng.randint(0, 1), rng.choice((1, -1, 2))) * rng.choice(l_monos)
+            if rng.random() < 0.5:
+                x = x * E(o, rng.randint(1, N), rng.randint(1, N))
+            q = rng.randint(leading + 1, N)
+            vec = raw.vector(leading) + reduce_mod_m_psi(ModuleElement.embed(x, p, (q,)))
+            eliminated, _ = eliminate_l_constant(vec, (leading,), higher)
+            verdicts.append(_gate(vec))
+            assert _gate(eliminated) == verdicts[-1], (leading, q, x)
+    assert set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_one_gate_per_canonical_vector(N, monkeypatch):
+    calls = []
+
+    def counting(vec, elements=None):
+        calls.append(elements)
+        return is_whittaker(vec, elements)
+
+    monkeypatch.setattr("walgebra.whittaker.is_whittaker", counting)
+    build_basis(N)
+    assert calls == []
+    canonical_basis(N)
+    assert calls == [Pyramid.subregular(N).m_generators()] * N
 
 
 def test_canonicalize_idempotent():
