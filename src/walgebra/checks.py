@@ -254,24 +254,14 @@ def whittaker_suite(N: int, canonical: bool) -> tuple[list, dict]:
 # omega / j_c and the tensor matrix
 # ----------------------------------------------------------------------
 def omega_suite(N: int) -> tuple[list, dict]:
+    """One record per boolean fact of verify_inverse's report, in its order."""
     rep = verify_inverse(N)
-
-    def flag(key):
-        def thunk():
-            return bool(rep["checks"][key]), rep["checks"][key]
-
-        return thunk
-
-    names = [
-        "isotropic_b",
-        "isotropic_m",
-        "nondegenerate",
-        "recursive_equals_closed_form",
-        "antisymmetric",
-        "inverse_on_w",
-        "e_outside_w",
+    jobs = [
+        (name, lambda fact=fact: (fact, fact))
+        for name, fact in rep["checks"].items()
+        if isinstance(fact, bool)
     ]
-    return _run_checks([(n, flag(n)) for n in names]), rep
+    return _run_checks(jobs), rep
 
 
 # j_structure_report's facts, "_" spelt "-"; compute-J exits 1 if one fails

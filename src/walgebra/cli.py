@@ -16,12 +16,13 @@ A cold walg process compiles or loads every module it imports, so a
 compute-T never pays for the verification layers.
 
 Exit codes: 0 on success; 1 on hard verification failure or, under
---strict, on any failed check or comparison mismatch; 2 on usage errors,
-which include input rejected before any computation: a bad pyramid
-literal or truncation, T-indices out of range, N < 2, N < 3 for
-check-omega, selftest --cases < 1, and an --out that is an existing
-directory or whose directory does not exist.  A verification suite that
-raises is reported as one failed "construction" check, with exit 1.
+compute-J --strict (the one command with that option), on any failed
+check or comparison mismatch; 2 on usage errors, which include input
+rejected before any computation: a bad pyramid literal or truncation,
+T-indices out of range, N < 2, N < 3 for check-omega, selftest
+--cases < 1, and an --out that is an existing directory or whose
+directory does not exist.  A verification suite that raises is reported
+as one failed "construction" check, with exit 1.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _verify(args, command: str, suite, hard=None):
     """Run suite() -> (checks, meta) and emit its report, or one failed
     "construction" check if suite raises.  Returns (report, exit code):
     1 when construction or a check named in hard (every check when hard
-    is None) fails, or on any failed check under --strict; else 0."""
+    is None) fails; else 0."""
     p = Pyramid.subregular(args.N)
     try:
         checks, meta = suite()
@@ -73,7 +74,7 @@ def _verify(args, command: str, suite, hard=None):
     )
     _emit(report.to_json(), report.render_table, args)
     hard_fail = any(
-        hard is None or args.strict or c["name"] in hard or c["name"] == "construction"
+        hard is None or c["name"] in hard or c["name"] == "construction"
         for c in report.failed()
     )
     return report, int(hard_fail)
@@ -113,7 +114,7 @@ def cmd_compute_j(args) -> int:
         args,
         "compute-J",
         lambda: j_suite(args.N, compare=args.compare),
-        hard=J_STRUCTURE_CHECKS,
+        hard=None if args.strict else J_STRUCTURE_CHECKS,
     )
     cmp = report.meta.get("semiclassical") if args.compare else None
     if cmp and args.format == "table":
@@ -182,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out", help="write the JSON report to this path")
         sp.add_argument("--format", choices=("json", "table"), default="table")
-        sp.add_argument("--strict", action="store_true", help="exit 1 on any failed check")
 
     t = sub.add_parser("compute-T", help="one T-element as JSON")
     t.add_argument("--pyramid", required=True, help="e.g. '1,3,2,1' or 'subreg:5'")
@@ -204,6 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     j.add_argument("--N", type=int, required=True)
     j.add_argument("--compare", action="store_true")
     common(j)
+    j.add_argument(
+        "--strict", action="store_true", help="exit 1 on any failed check or convention mismatch"
+    )
     j.set_defaults(func=cmd_compute_j)
 
     o = sub.add_parser("check-omega", help="wonderbolic form and j_c cross-checks")

@@ -168,17 +168,17 @@ class RMatrixElement:
     def swap_legs(self) -> "RMatrixElement":
         return RMatrixElement(self.N, {(s, f): c for (f, s), c in self.terms.items()})
 
-    def __sub__(self, other: "RMatrixElement") -> "RMatrixElement":
+    def _merged(self, other: "RMatrixElement", sign: int) -> "RMatrixElement":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            add_term(out, k, -c)
+            add_term(out, k, sign * c)
         return RMatrixElement(self.N, out)
 
     def __add__(self, other: "RMatrixElement") -> "RMatrixElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            add_term(out, k, c)
-        return RMatrixElement(self.N, out)
+        return self._merged(other, 1)
+
+    def __sub__(self, other: "RMatrixElement") -> "RMatrixElement":
+        return self._merged(other, -1)
 
     def __eq__(self, other):
         return isinstance(other, RMatrixElement) and self.N == other.N and self.terms == other.terms
@@ -257,24 +257,20 @@ def verify_inverse(N: int) -> dict:
     # phi = omega(v, .) returns v for every basis vector v of w
     r_w = rec - rec.swap_legs()
     checks["antisymmetric"] = (r_w + r_w.swap_legs()).is_zero()
-    inverse_ok = True
     idx = basis.index
-    for a, v in enumerate(basis.w_basis):
-        acc = {}
+
+    def phi_of_r_w(a: int) -> dict:
+        """sum_t omega(w_a, x_t) y_t over the terms x_t ⊗ y_t of r_w."""
+        acc: dict = {}
         for (f, s), c in r_w.terms.items():
-            pf = idx.get(f)
-            if pf is None:
-                inverse_ok = False
-                break
-            phi = gram[a][pf]
+            phi = gram[a][idx[f]]
             if phi:
                 add_term(acc, s, phi * c)
-        else:
-            if acc != {v: Fraction(1)}:
-                inverse_ok = False
-        if not inverse_ok:
-            break
-    checks["inverse_on_w"] = inverse_ok
+        return acc
+
+    checks["inverse_on_w"] = all(f in idx for f, _ in r_w.terms) and all(
+        phi_of_r_w(a) == {v: 1} for a, v in enumerate(basis.w_basis)
+    )
     # e is a 0/1 combination of distinct matrix units, so it lies in w
     # exactly when every summand does; the column-N summand never does
     p = basis.pyramid

@@ -53,13 +53,17 @@ row(y), and everything else is higher order.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import AlgebraElement, add_term, gen_ij
 from .geometry import jc_closed_form
 from .modules import ModuleElement, fuse, reduce_mod_b_left
 from .pyramid import Pyramid
-from .whittaker import WhittakerBasis, asymptotic_parts, canonical_basis, eliminate_l_constant
+from .whittaker import (
+    WhittakerBasis,
+    asymptotic_parts,
+    canonical_basis,
+    eliminate_l_constant,
+    in_l,
+)
 
 
 class TensorJError(Exception):
@@ -132,7 +136,7 @@ def compute_J(basis: WhittakerBasis) -> JMatrix:
 def j_structure_report(J: JMatrix) -> dict:
     """The structural facts about J - id, checked exactly."""
     p = J.pyramid
-    l_codes = set(p.l_codes())
+    l_mono = in_l(p)
     support_ok = True
     hbar_ok = True
     in_l_ok = True
@@ -144,7 +148,7 @@ def j_structure_report(J: JMatrix) -> dict:
         if not c.divisible_by_hbar():
             hbar_ok = False
             bad.append({"row": [a, l], "col": [i, j], "why": "hbar"})
-        if not all(g in l_codes for m in c.monomials() for g, _ in m):
+        if not all(l_mono(m) for m in c.monomials()):
             in_l_ok = False
             bad.append({"row": [a, l], "col": [i, j], "why": "not-in-l"})
     pairs_ok = all(
@@ -174,11 +178,8 @@ class SemiclassicalJ:
         self.N = N
         self.entries = {}
 
-    def add(self, row, col, x21_exp: int, x11_exp: int, coeff):
-        coeff = Fraction(coeff)
-        if not coeff:
-            return
-        key = (tuple(row), tuple(col))
+    def add(self, row: tuple, col: tuple, x21_exp: int, x11_exp: int, coeff):
+        key = (row, col)
         poly = self.entries.setdefault(key, {})
         add_term(poly, (x21_exp, x11_exp), coeff)
         if not poly:
@@ -193,12 +194,7 @@ class SemiclassicalJ:
         return out
 
     def max_x_degree(self) -> int:
-        deg = 0
-        for poly in self.entries.values():
-            for (pq, c) in poly.items():
-                if c:
-                    deg = max(deg, pq[0] + pq[1])
-        return deg
+        return max((p + q for poly in self.entries.values() for p, q in poly), default=0)
 
     def __eq__(self, other):
         return isinstance(other, SemiclassicalJ) and self.N == other.N and self.entries == other.entries
@@ -259,24 +255,27 @@ class SemiclassicalJ:
         }
 
 
+def _l_exponents(mono, l_codes) -> tuple:
+    """(p, q) of the monomial E_21^p E_11^q of U(l); l_codes is
+    Pyramid.l_codes(), the codes of (E_21, E_11)."""
+    exps = dict.fromkeys(l_codes, 0)
+    for g, e in mono:
+        if g not in exps:
+            raise TensorJError("entry monomial leaves U(l): %r" % (mono,))
+        exps[g] = e
+    return tuple(exps.values())
+
+
 def semiclassical_limit(J: JMatrix) -> SemiclassicalJ:
     """(J - id)/hbar at hbar = 0, with E_21^p E_11^q read as x21^p x11^q."""
-    p = J.pyramid
-    N = J.N
-    e21, e11 = p.l_codes()
-    out = SemiclassicalJ(N)
-    for ((a, l), (i, j)), c in J.entries.items():
+    l_codes = J.pyramid.l_codes()
+    out = SemiclassicalJ(J.N)
+    for key, c in J.entries.items():
         if not c.divisible_by_hbar():
-            raise TensorJError("entry %r is not divisible by hbar" % (((a, l), (i, j)),))
+            raise TensorJError("entry %r is not divisible by hbar" % (key,))
         for (mono, d), q in c.terms.items():
-            if d != 1:
-                continue
-            exps = {e21: 0, e11: 0}
-            for g, e in mono:
-                if g not in exps:
-                    raise TensorJError("entry monomial leaves U(l): %r" % (mono,))
-                exps[g] = e
-            out.add((a, l), (i, j), exps[e21], exps[e11], q)
+            if d == 1:
+                out.add(*key, *_l_exponents(mono, l_codes), q)
     return out
 
 
@@ -329,29 +328,18 @@ def semiclassical_from_asymptotics(basis: WhittakerBasis) -> SemiclassicalJ:
     leading generator of each such part past the first slot."""
     p = basis.pyramid
     N = basis.N
-    e21, e11 = p.l_codes()
+    l_codes = p.l_codes()
     out = SemiclassicalJ(N)
     for j in range(1, N + 1):
-        vec = basis.vector(j)
-        for slots, x in vec.by_slots().items():
+        for slots, x in basis.vector(j).by_slots().items():
             l = slots[0]
             if l == j:
                 continue
-            lin, llin = asymptotic_parts(x, p)
-            for i in range(1, N + 1):
-                for (((g, _e),), _d), c in lin.terms.items():
-                    a, col = gen_ij(N, g)
-                    if col == i:
-                        out.add((a, l), (i, j), 0, 0, -c)
-                for (mono, _d), c in llin.terms.items():
-                    g, _ = mono[0]
-                    a, col = gen_ij(N, g)
-                    if col != i:
-                        continue
-                    exps = {e21: 0, e11: 0}
-                    for gg, ee in mono[1:]:
-                        exps[gg] = ee
-                    out.add((a, l), (i, j), exps[e21], exps[e11], -c)
+            # a term (E_ai)·(l-monomial) lands in column i of the matrix
+            for part in asymptotic_parts(x, p):
+                for (mono, _d), c in part.terms.items():
+                    a, i = gen_ij(N, mono[0][0])
+                    out.add((a, l), (i, j), *_l_exponents(mono[1:], l_codes), -c)
     return out
 
 
@@ -363,8 +351,9 @@ def compare_semiclassical(J: JMatrix) -> dict:
     report: dict = {"N": N}
     jc = _jc_as_matrix(N)
     report["constant_part_equals_jc"] = computed.constant_part() == jc
-    report["max_x_degree"] = computed.max_x_degree()
-    report["x_degree_bound_ok"] = computed.max_x_degree() <= max(N - 3, 0)
+    degree = computed.max_x_degree()
+    report["max_x_degree"] = degree
+    report["x_degree_bound_ok"] = degree <= max(N - 3, 0)
     matches = {}
     diffs = {}
     for variant in ("statement", "proof", "positive"):

@@ -68,7 +68,7 @@ def l_constant_part(x, p: Pyramid):
 def asymptotic_parts(x: AlgebraElement, p: Pyramid):
     """(linear, l_linear): the hbar-constant PBW-degree-one part, and the
     hbar-constant part of shape (single b-generator)·(positive l-monomial)."""
-    l_codes = set(p.l_codes())
+    l_mono = in_l(p)
     b_codes = p.b_codes()
     linear: dict = {}
     l_linear: dict = {}
@@ -83,7 +83,7 @@ def asymptotic_parts(x: AlgebraElement, p: Pyramid):
             len(m) >= 2
             and m[0][0] in b_codes
             and m[0][1] == 1
-            and all(g in l_codes for g, _ in m[1:])
+            and l_mono(m[1:])
         ):
             l_linear[(m, 0)] = c
     return AlgebraElement(x.order, linear), AlgebraElement(x.order, l_linear)

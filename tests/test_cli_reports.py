@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import walgebra
-from walgebra import checks
+from walgebra import checks, cli
 from walgebra.algebra import AlgebraElement
 from walgebra.bk import t_element
 from walgebra.cli import main
@@ -76,6 +77,21 @@ def test_compute_j_cli_compare(capsys):
     assert "convention matched: statement" in out
 
 
+def test_check_omega_record_names(capsys):
+    # one record per boolean fact of verify_inverse, in its order
+    code, out = run_cli(capsys, "check-omega", "--N", "3", "--format", "json")
+    assert code == 0
+    assert [c["name"] for c in json.loads(out)["checks"]] == [
+        "isotropic_b",
+        "isotropic_m",
+        "nondegenerate",
+        "recursive_equals_closed_form",
+        "antisymmetric",
+        "inverse_on_w",
+        "e_outside_w",
+    ]
+
+
 def test_compute_j_strict_mismatch_exit_code(capsys):
     # at N=5 neither printed convention matches, so --strict exits 1
     code, _ = run_cli(capsys, "compute-J", "--N", "5", "--compare", "--strict")
@@ -107,6 +123,14 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
         ),
         (["check-omega", "--N", "3", "--out", FIXTURES], "--out is a directory"),
         (["compute-J", "--N", "3", "--semiclassical"], "unrecognized arguments: --semiclassical"),
+        (
+            ["compute-T", "--pyramid", "subreg:3", "--i", "1", "--j", "1", "--x", "0", "--r", "1"]
+            + ["--strict"],
+            "unrecognized arguments: --strict",
+        ),
+        (["verify-whittaker", "--N", "3", "--strict"], "unrecognized arguments: --strict"),
+        (["check-omega", "--N", "3", "--strict"], "unrecognized arguments: --strict"),
+        (["selftest", "--N", "3", "--strict"], "unrecognized arguments: --strict"),
     ],
     ids=[
         "missing-args",
@@ -120,6 +144,10 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
         "out-dir-missing",
         "out-is-dir",
         "compute-J-semiclassical",
+        "compute-T-strict",
+        "verify-whittaker-strict",
+        "check-omega-strict",
+        "selftest-strict",
     ],
 )
 def test_usage_error_exit_code(capsys, argv, message):
@@ -129,6 +157,42 @@ def test_usage_error_exit_code(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: " + message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute-T", "--pyramid", "subreg:4", "--i", "2", "--j", "2", "--x", "1", "--r", "2"],
+        ["verify-whittaker", "--N", "3"],
+        ["compute-J", "--N", "3"],
+        ["check-omega", "--N", "3"],
+        ["selftest", "--N", "3", "--cases", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_option_is_read(capsys, argv):
+    # an option that input checking and the command never read changes
+    # nothing, so no subcommand may define one
+    parser = cli.build_parser()
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    args = parser.parse_args(argv, namespace=Recording())
+    read.clear()
+    cli._check_input(args)
+    args.func(args)
+    capsys.readouterr()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        a.dest
+        for a in subparsers.choices[argv[0]]._actions
+        if not isinstance(a, argparse._HelpAction)
+    }
+    assert options - read == set()
 
 
 @pytest.mark.parametrize(

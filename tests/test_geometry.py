@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from walgebra import geometry
 from walgebra.geometry import (
     WonderbolicBasis,
     _det_exact,
@@ -97,6 +98,31 @@ def test_verify_inverse(N):
     assert rep["checks"]["nondegenerate"]
     assert rep["checks"]["e_outside_w"]
     assert rep["recursive_vs_closed_diff"] == []
+
+
+@pytest.mark.parametrize("doctor", ["drop", "alter", "outside-w"])
+def test_verify_inverse_fails_closed(monkeypatch, doctor):
+    # j_c with one term dropped, one coefficient changed, or one term added
+    # whose first leg E_15 lies outside w: every dependent fact fails
+    honest = geometry.jc_recursive
+
+    def doctored(N):
+        jc = honest(N)
+        key = min(jc.terms)
+        if doctor == "drop":
+            del jc.terms[key]
+        elif doctor == "alter":
+            jc.terms[key] += 1
+        else:
+            jc.add((1, N), key[1])
+        return jc
+
+    monkeypatch.setattr(geometry, "jc_recursive", doctored)
+    rep = verify_inverse(5)
+    assert not rep["checks"]["recursive_equals_closed_form"]
+    assert not rep["checks"]["inverse_on_w"]
+    assert not rep["ok"]
+    assert rep["recursive_vs_closed_diff"]
 
 
 def test_det_exact():

@@ -15,6 +15,7 @@ from walgebra.modules import (
 )
 from walgebra.pyramid import Pyramid
 from walgebra.tensorj import (
+    JMatrix,
     SemiclassicalJ,
     TensorJError,
     compare_semiclassical,
@@ -331,6 +332,23 @@ def test_semiclassical_n9_is_jc_plus_positive(J9):
 def test_asymptotic_recomputation_agrees(J3, J4):
     for J in (J3, J4):
         assert semiclassical_from_asymptotics(J.basis) == semiclassical_limit(J)
+
+
+@pytest.mark.parametrize(
+    "doctored, message",
+    [
+        # hbar·E_12: divisible by hbar, but its monomial leaves U(l)
+        (lambda o: AlgebraElement.generator(o, 1, 2).times_hbar(), r"leaves U\(l\)"),
+        # the unit: in U(l), but not divisible by hbar
+        (AlgebraElement.one, "not divisible by hbar"),
+    ],
+    ids=["outside-U(l)", "not-hbar-divisible"],
+)
+def test_semiclassical_limit_rejects_doctored_entry(J3, doctored, message):
+    entries = dict(J3.entries)
+    entries[min(entries)] = doctored(J3.pyramid.default_order())
+    with pytest.raises(TensorJError, match=message):
+        semiclassical_limit(JMatrix(J3.basis, entries, J3.pair_generators))
 
 
 def test_fuse_associativity():
