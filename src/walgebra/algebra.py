@@ -21,6 +21,21 @@ the worklist holds bare rational coefficients.  Term maps are merged
 after every step and zero coefficients are purged, so equality of
 elements is equality of dictionaries.
 
+Products of two PBW monomials are cached per order (_mono_product, the
+pair cache).  normal_order_word is the general path; a product m·g by
+one generator g is instead built from smaller cached products, as in
+the multiplication tables of PBW algebra systems (Levandovskyy and
+Schönemann, "Plural", ISSAC 2003).  Write m = rest·h with h its last
+letter.  If h ranks at or before g, m·g is m with g appended (or h's
+exponent raised).  Otherwise
+
+    rest·h·g = (rest·g)·h + hbar * rest·[h, g],
+
+where [h, g] is a signed sum of generators.  The recursion ends: the
+leading term of rest·g has every letter ranked at or before h, so its
+·h is the append case, and every other call has a left factor shorter
+than m.  Its depth is at most the length of m.
+
 Every such merge, here and in the other layers, goes through add_term.
 Elements are immutable values once built; all operations are pure
 functions.
@@ -178,14 +193,39 @@ def normal_order_word(order: GeneratorOrder, word) -> dict:
 
 def _mono_product(order: GeneratorOrder, ma, mb) -> dict:
     """Terms {(monomial, d): c} of the concatenation of two PBW monomials,
-    cached."""
+    cached.  A miss whose right factor is one generator goes through
+    _right_gen_product, any other through normal_order_word."""
     cache = order._pair_cache
     key = (ma, mb)
     hit = cache.get(key)
     if hit is None:
-        hit = normal_order_word(order, _mono_to_word(ma) + _mono_to_word(mb))
+        if ma and len(mb) == 1 and mb[0][1] == 1:
+            hit = _right_gen_product(order, ma, mb[0][0])
+        else:
+            hit = normal_order_word(order, _mono_to_word(ma) + _mono_to_word(mb))
         cache[key] = hit
     return hit
+
+
+def _right_gen_product(order: GeneratorOrder, ma, g: int) -> dict:
+    """ma·g for a nonempty PBW monomial ma = rest·h and one generator g:
+    rest·h·g = (rest·g)·h + hbar·rest·[h, g] when h ranks after g (see
+    the module docstring), every smaller product from the pair cache."""
+    h, e = ma[-1]
+    if order.ranks[h] <= order.ranks[g]:
+        if h == g:
+            return {(ma[:-1] + ((g, e + 1),), 0): 1}
+        return {(ma + ((g, 1),), 0): 1}
+    rest = ma[:-1] + ((h, e - 1),) if e > 1 else ma[:-1]
+    hm = ((h, 1),)
+    out: dict = {}
+    for (m, d), c in _mono_product(order, rest, ((g, 1),)).items():
+        for (m2, d2), c2 in _mono_product(order, m, hm).items():
+            add_term(out, (m2, d + d2), c * c2)
+    for x, sign in _gen_bracket(order.N, h, g):
+        for (m, d), c in _mono_product(order, rest, ((x, 1),)).items():
+            add_term(out, (m, d + 1), c if sign == 1 else -c)
+    return out
 
 
 class TermMap:
@@ -255,20 +295,19 @@ class TermMap:
         """[(key, {d: c})], one entry per term key without its degree
         ((monomial,) or (monomial, slots)) with its coefficient at each
         hbar-degree, gathered in one pass: ordered by slots where the
-        key has them, then total degree, then rank sequence of the
-        monomial, each sort key computed once."""
+        key has them, then total degree, then the monomial's sequence of
+        (rank, exponent) pairs.  That sequence is written as a string of
+        code points, which compares the same way in C; each monomial's
+        key is computed once."""
         by_key: dict = {}
         for k, c in self.terms.items():
             by_key.setdefault(k[:-1], {})[k[-1]] = c
         ranks = self.order.ranks
-        return sorted(
-            by_key.items(),
-            key=lambda item: (
-                item[0][1:],
-                sum([e for _, e in item[0][0]]),
-                [(ranks[g], e) for g, e in item[0][0]],
-            ),
-        )
+        mono_keys = {
+            mono: (sum([e for _, e in mono]), "".join([chr(ranks[g]) + chr(e) for g, e in mono]))
+            for mono in {key[0] for key in by_key}
+        }
+        return sorted(by_key.items(), key=lambda item: (item[0][1:], mono_keys[item[0][0]]))
 
     def sorted_terms(self):
         """[(key, HbarPoly)] in the order of _grouped: the rendering form."""

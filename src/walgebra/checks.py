@@ -33,6 +33,10 @@ from .tensorj import (
 from .whittaker import build_basis, canonical_basis, canonicalize
 
 
+def _record(name, ok, witness, seconds) -> dict:
+    return {"name": name, "status": "pass" if ok else "fail", "witness": witness, "seconds": seconds}
+
+
 def _run_checks(jobs):
     """jobs: list of (name, thunk) -> list of records, in job order."""
     results = []
@@ -42,14 +46,7 @@ def _run_checks(jobs):
             ok, witness = thunk()
         except Exception as exc:  # verification gates raise on failure
             ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
-        results.append(
-            {
-                "name": name,
-                "status": "pass" if ok else "fail",
-                "witness": witness,
-                "seconds": round(time.monotonic() - start, 6),
-            }
-        )
+        results.append(_record(name, ok, witness, round(time.monotonic() - start, 6)))
     return results
 
 
@@ -298,14 +295,15 @@ def j_suite(N: int, compare: bool) -> tuple[list, dict]:
 
 
 def fusion_suite(N: int) -> list:
-    """Associativity of fusion on 4 canonical triples (fuse_power_J, seed 0)."""
+    """Associativity of fusion on 4 canonical triples (fuse_power_J, seed 0),
+    each record timed by its own triple."""
     rep = fuse_power_J(N, samples=4, seed=0)
-
-    def one(case):
-        return lambda: (case["associative"], case["triple"])
-
-    jobs = [
-        ("fuse-assoc-%s" % "".join(map(str, case["triple"])), one(case))
+    return [
+        _record(
+            "fuse-assoc-%s" % "".join(map(str, case["triple"])),
+            case["associative"],
+            case["triple"],
+            case["seconds"],
+        )
         for case in rep["cases"]
     ]
-    return _run_checks(jobs)

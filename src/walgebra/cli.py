@@ -20,8 +20,8 @@ compute-J --strict (the one command with that option), on any failed
 check or comparison mismatch; 2 on usage errors, which include input
 rejected before any computation: a bad pyramid literal or truncation,
 T-indices out of range, N < 2, N < 3 for check-omega, selftest
---cases < 1, and an --out that is an existing directory or whose
-directory does not exist.  A verification suite that raises is reported
+--cases < 1, compute-J --strict without --compare, and an --out that
+is an existing directory or whose directory does not exist.  A verification suite that raises is reported
 as one failed "construction" check, with exit 1.
 """
 
@@ -237,6 +237,8 @@ def _check_input(args) -> None:
         raise ValueError("check-omega needs N >= 3")
     if args.command == "selftest" and args.cases < 1:
         raise ValueError("--cases must be at least 1, got %d" % args.cases)
+    if args.command == "compute-J" and args.strict and not args.compare:
+        raise ValueError("--strict needs --compare")
 
 
 def main(argv=None) -> int:

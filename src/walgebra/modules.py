@@ -34,8 +34,13 @@ Fusion concatenates two reduced elements: every U-factor of the right
 element is transported through the left element's slots generator by
 generator (in the right factor's own PBW order, left to right), the slot
 tuples are concatenated, and the result is reduced again.  Within one
-fusion a word is transported from its longest already-transported
-prefix.
+fusion the right words are visited in sorted order, depth first: the
+left element right-acted by each prefix of the current word is kept on
+a path, and a word starts from the prefix it shares with the word
+before.  Sorted words sharing a prefix are adjacent, so no prefix is
+transported twice, and only one path is held at a time.  Each step is
+right_mul_gen, a right product by one generator, which the pair cache
+builds by algebra's one-generator recursion.
 """
 
 from __future__ import annotations
@@ -303,28 +308,29 @@ def transport(m: ModuleElement, word) -> ModuleElement:
 def fuse(a: ModuleElement, b: ModuleElement) -> ModuleElement:
     """The product [x] ⊗ [y] -> [x·y] on reduced representatives.
 
-    Each right term's U-monomial is transported through the left factor's
-    slots in its own PBW order, starting from the longest prefix already
-    transported in this call; slot tuples concatenate; the total is
+    The right terms are visited sorted by U-word, depth first: path
+    holds a right-acted by each prefix of the current word, so a word
+    starts from the prefix it shares with the one before, and only one
+    path is held at a time.  Slot tuples concatenate; the total is
     reduced once at the end.
     """
     if a.pyramid != b.pyramid:
         raise AlgebraError("fuse needs a common pyramid")
     p = a.pyramid
     out: dict = {}
-    moved_by = {(): a}  # word -> a right-acted by word, for this call only
-    for (ym, yslots, yd), yc in b.terms.items():
-        word = _mono_to_word(ym)
-        moved = moved_by.get(word)
-        if moved is None:
-            n = len(word) - 1
-            while word[:n] not in moved_by:
-                n -= 1
-            moved = moved_by[word[:n]]
-            for k in range(n, len(word)):
-                moved = right_mul_gen(moved, word[k])
-                moved_by[word[: k + 1]] = moved
-        for (um, uslots, ud), uc in moved.terms.items():
+    path = [a]  # path[k]: a right-acted by word[:k]
+    word = ()
+    for w, (_, yslots, yd), yc in sorted(
+        ((_mono_to_word(key[0]), key, c) for key, c in b.terms.items()), key=lambda t: t[0]
+    ):
+        n = 0
+        while n < len(word) and n < len(w) and word[n] == w[n]:
+            n += 1
+        del path[n + 1 :]
+        for g in w[n:]:
+            path.append(right_mul_gen(path[-1], g))
+        word = w
+        for (um, uslots, ud), uc in path[-1].terms.items():
             add_term(out, (um, uslots + yslots, ud + yd), uc * yc)
     return reduce_mod_m_psi(ModuleElement(p, a.t + b.t, out))
 

@@ -381,8 +381,10 @@ def compare_semiclassical(J: JMatrix) -> dict:
 
 def fuse_power_J(N: int, samples: int = 10, seed: int = 0) -> dict:
     """Associativity of fusion on canonical triples (t = 3 factors): the
-    computational shadow of the module-category compatibility axiom."""
+    computational shadow of the module-category compatibility axiom.
+    Each case records the seconds its triple took."""
     import random
+    import time
 
     basis = canonical_basis(N)
     rng = random.Random(seed)
@@ -392,10 +394,17 @@ def fuse_power_J(N: int, samples: int = 10, seed: int = 0) -> dict:
     results = []
     ok = True
     for (a, b, c) in triples:
+        start = time.monotonic()
         va, vb, vc = basis.vector(a), basis.vector(b), basis.vector(c)
         left = fuse(fuse(va, vb), vc)
         right = fuse(va, fuse(vb, vc))
         good = left == right
         ok = ok and good
-        results.append({"triple": [a, b, c], "associative": good})
+        results.append(
+            {
+                "triple": [a, b, c],
+                "associative": good,
+                "seconds": round(time.monotonic() - start, 6),
+            }
+        )
     return {"N": N, "t": 3, "ok": ok, "cases": results}

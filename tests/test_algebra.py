@@ -233,3 +233,34 @@ def test_normal_order_step_budget(monkeypatch):
     monkeypatch.setattr(algebra, "NORMAL_ORDER_STEP_BUDGET", 50)
     with pytest.raises(AlgebraError, match="step budget"):
         normal_order_word(order, word)
+
+
+def _ranked_monomial(order, rng, length, pool):
+    """A PBW monomial of the given length over generators drawn from pool."""
+    word = sorted((rng.choice(pool) for _ in range(length)), key=lambda g: order.ranks[g])
+    return algebra._word_to_mono(word)
+
+
+@pytest.mark.parametrize(
+    "N, kind", [(3, "lex"), (4, "lex"), (5, "subregular"), (6, "subregular")]
+)
+def test_right_generator_kernel_matches_normal_ordering(N, kind):
+    # every pair-cache miss m·g with one generator g goes through
+    # _right_gen_product; the bubble sort of the whole word is the oracle
+    ranked = GeneratorOrder.lex(N) if kind == "lex" else Pyramid.subregular(N).default_order()
+    # same ranks, empty pair cache: the recursion runs instead of cache hits
+    order = GeneratorOrder(
+        N, [gen_ij(N, c) for c in sorted(range(N * N), key=ranked.ranks.__getitem__)], kind
+    )
+    rng = random.Random(300 + N)
+    gens = range(N * N)
+    monomials = [_ranked_monomial(order, rng, rng.randint(1, 8), gens) for _ in range(8)]
+    # few distinct letters, so exponents repeat
+    monomials += [_ranked_monomial(order, rng, 6, rng.sample(gens, 2)) for _ in range(2)]
+    monomials += [_ranked_monomial(order, rng, length, gens) for length in (30, 32)]
+    assert max(e for m in monomials for _, e in m) >= 3
+    for m in monomials:
+        for g in gens:
+            got = algebra._mono_product(order, m, ((g, 1),))
+            assert got == normal_order_word(order, algebra._mono_to_word(m) + (g,)), (m, g)
+            assert order._pair_cache[(m, ((g, 1),))] is got

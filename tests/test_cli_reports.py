@@ -131,6 +131,7 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
         (["verify-whittaker", "--N", "3", "--strict"], "unrecognized arguments: --strict"),
         (["check-omega", "--N", "3", "--strict"], "unrecognized arguments: --strict"),
         (["selftest", "--N", "3", "--strict"], "unrecognized arguments: --strict"),
+        (["compute-J", "--N", "4", "--strict"], "--strict needs --compare"),
     ],
     ids=[
         "missing-args",
@@ -148,6 +149,7 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
         "verify-whittaker-strict",
         "check-omega-strict",
         "selftest-strict",
+        "compute-J-strict-without-compare",
     ],
 )
 def test_usage_error_exit_code(capsys, argv, message):
@@ -299,6 +301,18 @@ def test_selftest_small(capsys):
     code, out = run_cli(capsys, "selftest", "--N", "3", "--cases", "25")
     assert code == 0
     assert "all checks passed" in out
+
+
+def test_fusion_records_time_their_own_triples():
+    # fuse_power_J runs every triple before the records are built, so each
+    # record takes its triple's own time from the case
+    records = checks.fusion_suite(4)
+    assert [r["name"] for r in records] == [
+        "fuse-assoc-123", "fuse-assoc-441", "fuse-assoc-344", "fuse-assoc-343"
+    ]
+    for r in records:
+        assert r["status"] == "pass"
+        assert r["seconds"] > 0
 
 
 def test_report_round_trip(tmp_path):

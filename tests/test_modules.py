@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from walgebra.algebra import AlgebraElement, AlgebraError, GeneratorOrder
+from walgebra.algebra import (
+    AlgebraElement,
+    AlgebraError,
+    GeneratorOrder,
+    _mono_to_word,
+    _word_to_mono,
+    add_term,
+)
+from walgebra import modules
 from walgebra.hbar import HbarPoly
 from walgebra.modules import (
     ModuleElement,
@@ -16,6 +24,7 @@ from walgebra.modules import (
     reduce_mod_b_left,
     reduce_mod_m_psi,
     right_act,
+    right_mul_gen,
     transport,
 )
 from walgebra.pyramid import Pyramid
@@ -339,6 +348,103 @@ def test_fuse_matches_unshared_transport(N):
     pairs += [(basis.vector(i), basis.vector(j)) for i, j in ((1, 1), (2, 1), (N, 2))]
     for a, b in pairs:
         assert fuse(a, b) == _fuse_reference(a, b)
+
+
+def _fuse_moved_by(a, b):
+    """fuse with one memo for the whole call, {word: a right-acted by
+    word}: each right term's word starts from its longest memoized prefix
+    and memoizes every prefix it transports."""
+    out = {}
+    moved_by = {(): a}
+    for (ym, yslots, yd), yc in b.terms.items():
+        word = _mono_to_word(ym)
+        moved = moved_by.get(word)
+        if moved is None:
+            n = len(word) - 1
+            while word[:n] not in moved_by:
+                n -= 1
+            moved = moved_by[word[:n]]
+            for k in range(n, len(word)):
+                moved = right_mul_gen(moved, word[k])
+                moved_by[word[: k + 1]] = moved
+        for (um, uslots, ud), uc in moved.terms.items():
+            add_term(out, (um, uslots + yslots, ud + yd), uc * yc)
+    return reduce_mod_m_psi(ModuleElement(a.pyramid, a.t + b.t, out))
+
+
+def test_fuse_matches_moved_by_oracle(monkeypatch):
+    # the depth-first path gives the call-wide memo's result and, like it,
+    # transports each distinct prefix of the right words once
+    N = 5
+    basis = canonical_basis(N)
+    v = {i: basis.vector(i) for i in range(1, N + 1)}
+    left, right = fuse(v[1], v[2]), fuse(v[2], v[3])
+    pairs = [(v[i], v[j]) for i in v for j in v] + [(left, v[3]), (v[1], right)]
+    steps = []
+
+    def counted(m, g):
+        steps.append(g)
+        return right_mul_gen(m, g)
+
+    for a, b in pairs:
+        expected = _fuse_moved_by(a, b)
+        words = {_mono_to_word(ym) for ym, _, _ in b.terms}
+        steps.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(modules, "right_mul_gen", counted)
+            assert fuse(a, b) == expected
+        assert len(steps) == len({w[:k] for w in words for k in range(1, len(w) + 1)})
+    assert max(len(b.terms) for _, b in pairs) > 100
+
+
+def test_reduce_rejects_interior_m_factor(sub3):
+    # no monomial of the m-last order has an m-generator before a non-m
+    # one; a hand-built one must trip the guard, not be reduced
+    m_code = min(sub3.m_codes())
+    other = min(set(range(sub3.N ** 2)) - sub3.m_codes())
+    raw = ModuleElement(sub3, 1, {(((m_code, 1), (other, 1)), (1,), 0): 1})
+    with pytest.raises(ReductionError, match="interior m-factor"):
+        reduce_mod_m_psi(raw)
+
+
+def _grouped_by_tuple_key(el):
+    """TermMap._grouped with its former sort key: slots, total degree,
+    then the list of (rank, exponent) tuples."""
+    by_key = {}
+    for k, c in el.terms.items():
+        by_key.setdefault(k[:-1], {})[k[-1]] = c
+    ranks = el.order.ranks
+    return sorted(
+        by_key.items(),
+        key=lambda item: (
+            item[0][1:],
+            sum(e for _, e in item[0][0]),
+            [(ranks[g], e) for g, e in item[0][0]],
+        ),
+    )
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_grouped_order_matches_tuple_key(N):
+    p = Pyramid.subregular(N)
+    o = p.default_order()
+    rng = random.Random(400 + N)
+
+    def random_terms(rank):
+        terms = {}
+        for _ in range(60):
+            # few letters, so monomials share prefixes and exponents repeat
+            word = sorted(rng.choices(range(N * N), k=rng.randint(0, 6)), key=o.ranks.__getitem__)
+            mono = _word_to_mono(word)
+            slots = tuple(rng.randint(1, N) for _ in range(rank))
+            terms[(mono,) + (slots,) * (rank > 0) + (rng.randint(0, 2),)] = rng.choice((1, -2, 3))
+        return terms
+
+    elements = [AlgebraElement(o, random_terms(0)) for _ in range(3)]
+    elements += [ModuleElement(p, rank, random_terms(rank)) for rank in (1, 2, 2)]
+    for el in elements:
+        assert len(el._grouped()) > 20
+        assert el._grouped() == _grouped_by_tuple_key(el)
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
