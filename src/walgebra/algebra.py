@@ -284,7 +284,12 @@ class TermMap:
         return self._with({k: c * q for k, c in self.terms.items()})
 
     def times_hbar(self, power: int = 1):
-        """Multiply by hbar^power (a negative power divides exactly)."""
+        """Multiply by hbar^power; a negative power divides exactly, and a
+        term it cannot divide raises AlgebraError naming that term."""
+        if power < 0:
+            for k in self.terms:
+                if k[-1] + power < 0:
+                    raise AlgebraError("not divisible by hbar^%d at %r" % (-power, k[:-1]))
         return self._with({k[:-1] + (k[-1] + power,): c for k, c in self.terms.items()})
 
     def keep(self, pred):
@@ -411,18 +416,9 @@ class AlgebraElement(TermMap):
         return AlgebraElement(order, out)
 
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
-        """(self*other - other*self) / hbar, exact.
-
-        A nonzero constant hbar-term in the difference means the rewrite
-        engine is broken, and raises.
-        """
-        diff = self * other - other * self
-        for m, d in diff.terms:
-            if not d:
-                raise AlgebraError(
-                    "internal consistency failure: xy-yx not divisible by hbar at %r" % (m,)
-                )
-        return diff.times_hbar(-1)
+        """(self*other - other*self) / hbar, exact: a constant hbar-term in
+        the difference means the rewrite engine is broken, and raises."""
+        return (self * other - other * self).times_hbar(-1)
 
     # ------------------------------------------------------------------
     # queries

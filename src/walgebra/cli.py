@@ -19,10 +19,11 @@ Exit codes: 0 on success; 1 on hard verification failure or, under
 compute-J --strict (the one command with that option), on any failed
 check or comparison mismatch; 2 on usage errors, which include input
 rejected before any computation: a bad pyramid literal or truncation,
-T-indices out of range, N < 2, N < 3 for check-omega, selftest
---cases < 1, compute-J --strict without --compare, and an --out that
-is an existing directory or whose directory does not exist.  A verification suite that raises is reported
-as one failed "construction" check, with exit 1.
+T-indices out of range, N < 2, N < 3 for check-omega and for
+compute-J --compare, selftest --cases < 1, compute-J --strict without
+--compare, and an --out that is an existing directory or whose
+directory does not exist.  A verification suite that raises is
+reported as one failed "construction" check, with exit 1.
 """
 
 from __future__ import annotations
@@ -239,6 +240,8 @@ def _check_input(args) -> None:
         raise ValueError("--cases must be at least 1, got %d" % args.cases)
     if args.command == "compute-J" and args.strict and not args.compare:
         raise ValueError("--strict needs --compare")
+    if args.command == "compute-J" and args.compare and args.N < 3:
+        raise ValueError("--compare needs N >= 3")
 
 
 def main(argv=None) -> int:

@@ -26,6 +26,11 @@ monomial containing one has one in final position, and peeling it
 strictly decreases the m-factor count: the rewrite terminates and the
 reduced form carries no m-generators at all.
 
+Left multiplication commutes with the right action; act_left is the one
+left-product path.  By the rewrite above, ad of an m-generator on a
+reduced element is the left action less the character:
+ad xi = (L_xi - psi(xi))/hbar = (xi·u - u·xi)/hbar ⊗ v + u ⊗ (xi.v).
+
 The left quotient by the Borel-type subalgebra b (subregular pyramids
 only) is monomial deletion: since b-generators rank first, a PBW
 monomial lies in b·U exactly when its leftmost factor is in b.
@@ -52,7 +57,6 @@ from .algebra import (
     _mono_product,
     _mono_to_word,
     add_term,
-    gen_code,
     gen_ij,
 )
 from .pyramid import Pyramid
@@ -201,7 +205,8 @@ def reduce_mod_m_psi(raw: ModuleElement) -> ModuleElement:
 
 
 def _add_product(out: dict, order, ma, mb, slots, d: int, c) -> None:
-    """out += c * hbar^d * (ma·mb) ⊗ v_slots, ma·mb from the pair cache."""
+    """out += c * hbar^d * (ma·mb) ⊗ v_slots, ma·mb from the pair cache
+    (for act_left and right_mul_gen)."""
     for (mono, e), q in _mono_product(order, ma, mb).items():
         add_term(out, (mono, slots, d + e), q * c)
 
@@ -219,27 +224,17 @@ def act_left(xi: AlgebraElement, m: ModuleElement) -> ModuleElement:
 
 
 def ad_action(xi_ij, m: ModuleElement) -> ModuleElement:
-    """ad of an m-generator: (xi·u - u·xi)/hbar on each U-monomial u (a degree-0
-    term raises, as in commutator), the slot action, then reduction."""
+    """ad of an m-generator, (xi·m - psi(xi) m)/hbar; m must be reduced,
+    and a monomial ending in an m-generator raises ReductionError."""
     i, j = xi_ij
     p = m.pyramid
     if not p.in_m(i, j):
         raise AlgebraError("ad is defined here for m-generators only; E[%d,%d] is not in m" % (i, j))
-    order = m.order
-    xi = ((gen_code(p.N, i, j), 1),)
-    out: dict = {}
-    for (um, slots, d), c in m.terms.items():
-        br: dict = {}
-        _add_product(br, order, xi, um, slots, d - 1, c)
-        _add_product(br, order, um, xi, slots, d - 1, -c)
-        for key, q in br.items():
-            if key[2] < d:
-                raise AlgebraError("xi*u - u*xi not divisible by hbar at %r" % (um,))
-            add_term(out, key, q)
-        for a, k in enumerate(slots):
-            if k == j:
-                add_term(out, (um, slots[:a] + (i,) + slots[a + 1 :], d), c)
-    return reduce_mod_m_psi(ModuleElement(p, m.t, out))
+    for mono, _, _ in m.terms:
+        if mono and mono[-1][0] in p.m_codes():
+            raise ReductionError("ad_action needs a reduced element; %r ends in m" % (mono,))
+    xi = AlgebraElement.generator(m.order, i, j)
+    return (act_left(xi, m) - m.scale(p.psi()(i, j))).times_hbar(-1)
 
 
 def is_whittaker(m: ModuleElement, elements=None):

@@ -15,11 +15,12 @@ and right translates of invariant vectors are invariant.
 
 The gate runs ad_action over the N-1 Lie generators of m
 (Pyramid.m_generators), not over all of m, and this is exact: ad xi is
-(L_xi - psi(xi))/hbar on the quotient, [L_x, L_y] = hbar L_[x,y] in U_hbar,
-and psi, a character of m, vanishes on [m, m], so [ad x, ad y] = ad [x,y]
-(the module is free over Q[hbar], so the division loses nothing).  A
-vector killed by ad x and ad y is therefore killed by ad [x,y], hence by
-the Lie algebra the generators span, which is m.  modules.is_whittaker
+(L_xi - psi(xi))/hbar on the quotient, which is how modules.ad_action
+computes it, [L_x, L_y] = hbar L_[x,y] in U_hbar, and psi, a character
+of m, vanishes on [m, m], so [ad x, ad y] = ad [x,y] (the module is
+free over Q[hbar], so the division loses nothing).  A vector killed by
+ad x and ad y is therefore killed by ad [x,y], hence by the Lie algebra
+the generators span, which is m.  modules.is_whittaker
 over its default element set, all of m, stays the oracle.
 
 Canonicalization removes, from the highest slot down, the l-constant

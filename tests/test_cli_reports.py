@@ -132,6 +132,7 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
         (["check-omega", "--N", "3", "--strict"], "unrecognized arguments: --strict"),
         (["selftest", "--N", "3", "--strict"], "unrecognized arguments: --strict"),
         (["compute-J", "--N", "4", "--strict"], "--strict needs --compare"),
+        (["compute-J", "--N", "2", "--compare"], "--compare needs N >= 3"),
     ],
     ids=[
         "missing-args",
@@ -150,6 +151,7 @@ def test_compute_j_strict_mismatch_exit_code(capsys):
         "check-omega-strict",
         "selftest-strict",
         "compute-J-strict-without-compare",
+        "compute-J-compare-N2",
     ],
 )
 def test_usage_error_exit_code(capsys, argv, message):

@@ -28,7 +28,7 @@ from walgebra.modules import (
     transport,
 )
 from walgebra.pyramid import Pyramid
-from walgebra.whittaker import canonical_basis
+from walgebra.whittaker import build_basis, canonical_basis
 
 
 def E(order, i, j):
@@ -155,21 +155,72 @@ def test_ad_rejects_non_m(sub3):
         ad_action((1, 2), ModuleElement.basis_vector(sub3, 1))
 
 
+def ad_oracle(xi_ij, m):
+    # ad by its bracket-and-slot formula, independent of act_left:
+    # (xi·u - u·xi)/hbar ⊗ v plus u ⊗ (xi.v) on each slot, then reduction
+    i, j = xi_ij
+    p = m.pyramid
+    xi = E(m.order, i, j)
+    out = ModuleElement.zero(p, m.t)
+    for slots, u in m.by_slots().items():
+        out = out + ModuleElement.embed(xi.commutator(u), p, slots)
+        for a, k in enumerate(slots):
+            if k == j:
+                out = out + ModuleElement.embed(u, p, slots[:a] + (i,) + slots[a + 1 :])
+    return reduce_mod_m_psi(out)
+
+
 @pytest.mark.parametrize("N", [4, 5])
 def test_hbar_ad_identity_random(N):
-    # hbar * ad_xi(m) = xi.m - psi(xi) m
+    # ad_xi(m) = (xi.m - psi(xi) m)/hbar agrees with the bracket-and-slot formula
     p = Pyramid.subregular(N)
     o = p.default_order()
-    psi = p.psi()
     rng = random.Random(13)
     for _ in range(12):
         i, j = rng.randint(1, N), rng.randint(1, N)
         x = E(o, i, j) * E(o, rng.randint(1, N), rng.randint(1, N))
         m = embed_and_reduce(p, x, (rng.randint(1, N),))
         for xi in p.m_basis():
-            lhs = ad_action(xi, m).times_hbar()
-            rhs = act_left(E(o, *xi), m) - m.scale(psi(*xi))
-            assert lhs == rhs
+            assert ad_action(xi, m) == ad_oracle(xi, m)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_ad_matches_oracle_on_whittaker_vectors(N):
+    p = Pyramid.subregular(N)
+    raw, canonical = build_basis(N), canonical_basis(N)
+    nonzero = 0
+    for basis in (raw, canonical):
+        for lead in range(1, N + 1):
+            v = basis.vector(lead)
+            for xi in p.m_basis():
+                res = ad_action(xi, v)
+                assert res == ad_oracle(xi, v), (lead, xi)
+                nonzero += not res.is_zero()
+    # the vectors are invariant; the oracle is compared on nonzero
+    # residues by test_hbar_ad_identity_random
+    assert nonzero == 0
+
+
+def test_ad_rejects_unreduced(sub3):
+    o = sub3.default_order()
+    # E32 ⊗ v1 reduces to 1 ⊗ v1; unreduced it has an m-generator last
+    raw = ModuleElement.embed(E(o, 1, 1) * E(o, 3, 2), sub3, (1,))
+    with pytest.raises(ReductionError):
+        ad_action((3, 1), raw)
+    ad_action((3, 1), reduce_mod_m_psi(raw))
+
+
+def test_times_hbar_divides_exactly(sub3):
+    o = sub3.default_order()
+    with pytest.raises(AlgebraError, match="not divisible by hbar"):
+        AlgebraElement.one(o).times_hbar(-1)
+    v = ModuleElement.basis_vector(sub3, 2) + ModuleElement.basis_vector(sub3, 3).times_hbar()
+    with pytest.raises(AlgebraError, match=r"\(\(\), \(2,\)\)"):
+        v.times_hbar(-1)
+    x = E(o, 1, 2) * E(o, 2, 1) + H(o, 2, 3)
+    for el in (x, v, ModuleElement.zero(sub3, 1)):
+        assert el.times_hbar().times_hbar(-1) == el
+        assert el.times_hbar(2).times_hbar(-2) == el
 
 
 def test_is_whittaker_negative(sub3):
