@@ -45,6 +45,10 @@ The truncated variant computes the chain sum in the pyramid with k
 columns removed but substitutes the modified generators of the full
 pyramid for the truncated ones; the two differ by hbar-shifts on the
 diagonal, so this is not the identity on matrix units.
+
+Both t_element and truncated_t return the AlgebraElement itself; the
+defining data (pyramid, truncation, i, j, x, r) is the caller's own
+arguments and the memo key.
 """
 
 from __future__ import annotations
@@ -53,28 +57,6 @@ from .algebra import AlgebraElement, add_term
 from .pyramid import Pyramid
 
 _memo: dict = {}
-
-
-class TGenerator:
-    """A computed T-element together with its defining data.  Immutable,
-    because truncated_t hands the same memoized object to every caller."""
-
-    __slots__ = ("pyramid", "truncation", "i", "j", "x", "r", "value")
-
-    def __init__(self, pyramid: Pyramid, truncation: int, i: int, j: int, x: int, r: int,
-                 value: AlgebraElement):
-        for name, val in zip(self.__slots__, (pyramid, truncation, i, j, x, r, value)):
-            object.__setattr__(self, name, val)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TGenerator is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("TGenerator is immutable")
-
-    def label(self) -> str:
-        pre = "" if self.truncation == 0 else "[k=%d]" % self.truncation
-        return "%sT(%d,%d;%d)^(%d)" % (pre, self.i, self.j, self.x, self.r)
 
 
 def _check_args(p: Pyramid, i: int, j: int, x: int, r: int):
@@ -159,17 +141,19 @@ def _suffix_sum(value_p: Pyramid, enum_p: Pyramid, i: int, j: int, x: int, r: in
     return S(i, r, None)
 
 
-def t_element(p: Pyramid, i: int, j: int, x: int, r: int) -> TGenerator:
+def t_element(p: Pyramid, i: int, j: int, x: int, r: int) -> AlgebraElement:
     """T^(r)_[ij;x] over the pyramid p, in PBW normal form."""
     return truncated_t(p, 0, i, j, x, r)
 
 
-def truncated_t(p: Pyramid, k: int, i: int, j: int, x: int, r: int) -> TGenerator:
+def truncated_t(p: Pyramid, k: int, i: int, j: int, x: int, r: int) -> AlgebraElement:
     """T^(r)_[ij;x] of the k-fold truncated pyramid, embedded back into p.
 
     The chain rules are read in the truncated pyramid; each truncated
     modified generator is replaced by the full pyramid's one before
-    normal ordering.
+    normal ordering.  The element is memoized under
+    (p.heights, k, i, j, x, r), and every caller gets the same object,
+    as the pair cache hands out its values: read it, never change it.
     """
     key = (p.heights, k, i, j, x, r)
     hit = _memo.get(key)
@@ -182,9 +166,8 @@ def truncated_t(p: Pyramid, k: int, i: int, j: int, x: int, r: int) -> TGenerato
         value = AlgebraElement.scalar(order, _sigma(i, x)) if i == j else AlgebraElement.zero(order)
     else:
         value = _suffix_sum(p, enum_p, i, j, x, r)
-    gen = TGenerator(pyramid=p, truncation=k, i=i, j=j, x=x, r=r, value=value)
-    _memo[key] = gen
-    return gen
+    _memo[key] = value
+    return value
 
 
 def t1_closed_form(p: Pyramid, i: int, j: int, x: int) -> AlgebraElement:

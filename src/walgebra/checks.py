@@ -132,7 +132,7 @@ def generator_identity_suite(N: int) -> list:
             for i in range(1, q.n + 1):
                 for j in range(1, q.n + 1):
                     for x in range(0, q.n + 1):
-                        if t_element(q, i, j, x, 1).value != t1_closed_form(q, i, j, x):
+                        if t_element(q, i, j, x, 1) != t1_closed_form(q, i, j, x):
                             return False, where + "(i,j,x)=(%d,%d,%d)" % (i, j, x)
         return True, "all (i,j,x) on subreg:%d and 1,3,2,1" % N
 
@@ -140,11 +140,11 @@ def generator_identity_suite(N: int) -> list:
         expected = AlgebraElement.generator(order, 1, 1) + AlgebraElement.scalar(
             order, -(N - 2)
         ).times_hbar()
-        ok = t_element(p, 1, 1, 0, 1).value == expected
+        ok = t_element(p, 1, 1, 0, 1) == expected
         return ok, "T(1,1;0)^(1) == E11 - (N-2)hbar"
 
     def fixture_t21():
-        ok = t_element(p, 2, 1, 1, 1).value == AlgebraElement.generator(order, 2, 1).scale(-1)
+        ok = t_element(p, 2, 1, 1, 1) == AlgebraElement.generator(order, 2, 1).scale(-1)
         return ok, "T(2,1;1)^(1) == -E21"
 
     return _run_checks(
@@ -177,9 +177,9 @@ def recursion_suite(N: int) -> list:
     for i in (1, 2):
         for r in range(1, N):
             def one(i=i, r=r):
-                t1 = truncated_t(p, 1, i, 2, 1, r).value
-                t2 = truncated_t(p, 2, i, 2, 1, r).value
-                t2m = truncated_t(p, 2, i, 2, 1, r - 1).value
+                t1 = truncated_t(p, 1, i, 2, 1, r)
+                t2 = truncated_t(p, 2, i, 2, 1, r)
+                t2m = truncated_t(p, 2, i, 2, 1, r - 1)
                 rhs = t2 + t2m * e_next + t2m.commutator(e_hop)
                 lhs_q = _as_q(p, t1)
                 rhs_q = _as_q(p, rhs)
@@ -190,8 +190,8 @@ def recursion_suite(N: int) -> list:
             jobs.append(("recursion-i%d-r%d" % (i, r), one))
 
             def lower(i=i, r=r):
-                t1 = truncated_t(p, 1, i, 2, 1, r).value
-                t2m = truncated_t(p, 2, i, 2, 1, r - 1).value
+                t1 = truncated_t(p, 1, i, 2, 1, r)
+                t2m = truncated_t(p, 2, i, 2, 1, r - 1)
                 lhs = ad_action((N, N - 1), _as_q(p, t1))
                 rhs = _as_q(p, t2m)
                 if lhs != rhs:

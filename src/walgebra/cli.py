@@ -84,6 +84,9 @@ def _verify(args, command: str, suite, hard=None):
 def cmd_compute_t(args) -> int:
     p = Pyramid.parse(args.pyramid)
     t = truncated_t(p, args.truncate, args.i, args.j, args.x, args.r)
+    label = "%sT(%d,%d;%d)^(%d)" % (
+        "[k=%d]" % args.truncate if args.truncate else "", args.i, args.j, args.x, args.r
+    )
     payload = {
         "pyramid": p.spec(),
         "truncate": args.truncate,
@@ -91,12 +94,12 @@ def cmd_compute_t(args) -> int:
         "j": args.j,
         "x": args.x,
         "r": args.r,
-        "label": t.label(),
-        "element": t.value.to_json(),
+        "label": label,
+        "element": t.to_json(),
         "order_fingerprint": p.default_order().fingerprint,
         "engine_version": __version__,
     }
-    _emit(payload, lambda: "%s = %s" % (t.label(), render_algebra(t.value)), args)
+    _emit(payload, lambda: "%s = %s" % (label, render_algebra(t)), args)
     return 0
 
 

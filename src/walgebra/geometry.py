@@ -22,6 +22,9 @@ against each other:
     sign in the second branch);
   * jc_closed_form instantiates the double-sum expression directly.
 
+Both return j_c as a plain term map {(first (i,j), second (i,j)): c}
+with int coefficients, built and merged by add_term.
+
 verify_inverse checks isotropy, non-degeneracy, the equality of the two
 constructions, and that r_w composed with omega is the identity on w.
 """
@@ -153,85 +156,61 @@ def _det_exact(matrix) -> Fraction:
     return det
 
 
-class RMatrixElement:
-    """A rational tensor: finite map (first (i,j), second (i,j)) -> Fraction."""
-
-    __slots__ = ("N", "terms")
-
-    def __init__(self, N: int, terms: dict | None = None):
-        self.N = N
-        self.terms = {k: Fraction(v) for k, v in (terms or {}).items() if v}
-
-    def add(self, first, second, coeff=1):
-        add_term(self.terms, (tuple(first), tuple(second)), Fraction(coeff))
-
-    def swap_legs(self) -> "RMatrixElement":
-        return RMatrixElement(self.N, {(s, f): c for (f, s), c in self.terms.items()})
-
-    def _merged(self, other: "RMatrixElement", sign: int) -> "RMatrixElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            add_term(out, k, sign * c)
-        return RMatrixElement(self.N, out)
-
-    def __add__(self, other: "RMatrixElement") -> "RMatrixElement":
-        return self._merged(other, 1)
-
-    def __sub__(self, other: "RMatrixElement") -> "RMatrixElement":
-        return self._merged(other, -1)
-
-    def __eq__(self, other):
-        return isinstance(other, RMatrixElement) and self.N == other.N and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+def _merged(a: dict, b: dict, sign: int) -> dict:
+    """a + sign * b for tensors {(first (i,j), second (i,j)): c}."""
+    out = dict(a)
+    for k, c in b.items():
+        add_term(out, k, sign * c)
+    return out
 
 
-def jc_recursive(N: int) -> RMatrixElement:
+def _swap_legs(t: dict) -> dict:
+    return {(s, f): c for (f, s), c in t.items()}
+
+
+def jc_recursive(N: int) -> dict:
     """j_c from the inductive inversion of the omega column relations,
-    assembled as a tensor with first legs in b and second legs in m."""
+    assembled as a tensor {(first (i,j) in b, second (i,j) in m): c}."""
     if N < 3:
         raise GeometryError("need N >= 3")
     basis = WonderbolicBasis(N)
     image: dict = {}
 
     def j21(i: int, j: int):
-        """j_c^21(E*_ij) in b, as a dict (k,l) -> Fraction."""
+        """j_c^21(E*_ij) in b, as a dict (k,l) -> int."""
         key = (i, j)
         hit = image.get(key)
         if hit is not None:
             return hit
         if j <= 2:
-            out = {(j, i - 1): Fraction(1)} if i > 2 else {}
+            out = {(j, i - 1): 1} if i > 2 else {}
         else:
             out = dict(j21(i - 1, j - 1))
-            add_term(out, (j, i - 1), Fraction(1))
+            add_term(out, (j, i - 1), 1)
         image[key] = out
         return out
 
-    jc = RMatrixElement(N)
+    jc: dict = {}
     for (i, j) in basis.m_basis:
         for bgen, c in j21(i, j).items():
             if bgen not in basis.index:
                 raise GeometryError("recursion left b: %r" % (bgen,))
-            jc.add(bgen, (i, j), c)
+            add_term(jc, (bgen, (i, j)), c)
     return jc
 
 
-def jc_closed_form(N: int) -> RMatrixElement:
-    """Direct instantiation of the double-sum expression for j_c."""
+def jc_closed_form(N: int) -> dict:
+    """Direct instantiation of the double-sum expression for j_c, in the
+    form jc_recursive returns."""
     if N < 3:
         raise GeometryError("need N >= 3")
-    jc = RMatrixElement(N)
+    jc: dict = {}
     for j in range(2, N):
         for i in range(j + 1, N + 1):
             for l in range(2, j + 1):
-                jc.add((l, l + i - j - 1), (i, j))
+                add_term(jc, ((l, l + i - j - 1), (i, j)), 1)
     for i in range(3, N + 1):
-        jc.add((1, i - 1), (i, 1))
+        add_term(jc, ((1, i - 1), (i, 1)), 1)
     return jc
 
 
@@ -252,23 +231,23 @@ def verify_inverse(N: int) -> dict:
     rec = jc_recursive(N)
     clo = jc_closed_form(N)
     checks["recursive_equals_closed_form"] = rec == clo
-    diff = (rec - clo).sorted_terms()
+    diff = sorted(_merged(rec, clo, -1).items())
     # r_w = j_c - j_c^21 inverts omega: sum_t phi(x_t) y_t with
     # phi = omega(v, .) returns v for every basis vector v of w
-    r_w = rec - rec.swap_legs()
-    checks["antisymmetric"] = (r_w + r_w.swap_legs()).is_zero()
+    r_w = _merged(rec, _swap_legs(rec), -1)
+    checks["antisymmetric"] = not _merged(r_w, _swap_legs(r_w), 1)
     idx = basis.index
 
     def phi_of_r_w(a: int) -> dict:
         """sum_t omega(w_a, x_t) y_t over the terms x_t ⊗ y_t of r_w."""
         acc: dict = {}
-        for (f, s), c in r_w.terms.items():
+        for (f, s), c in r_w.items():
             phi = gram[a][idx[f]]
             if phi:
                 add_term(acc, s, phi * c)
         return acc
 
-    checks["inverse_on_w"] = all(f in idx for f, _ in r_w.terms) and all(
+    checks["inverse_on_w"] = all(f in idx for f, _ in r_w) and all(
         phi_of_r_w(a) == {v: 1} for a, v in enumerate(basis.w_basis)
     )
     # e is a 0/1 combination of distinct matrix units, so it lies in w

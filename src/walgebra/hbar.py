@@ -39,8 +39,7 @@ class HbarPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        # the inline int test saves a call per coefficient on the hot path
-        cs = [c if type(c) is int else _exact(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 
-from .algebra import AlgebraElement, GeneratorOrder, gen_code
+from .algebra import AlgebraElement, GeneratorOrder, gen_code, gen_ij
 
 
 class PyramidError(Exception):
@@ -156,8 +156,6 @@ class Pyramid:
 
     def m_basis(self):
         """m-basis of matrix-unit indices (i, j), sorted lexicographically."""
-        from .algebra import gen_ij
-
         return tuple(sorted(gen_ij(self.N, c) for c in self._m_codes))
 
     def m_generators(self):
@@ -174,8 +172,6 @@ class Pyramid:
         return tuple(x for x in self.m_basis() if self.degree(*x) == -1)
 
     def p_basis(self):
-        from .algebra import gen_ij
-
         return tuple(sorted(gen_ij(self.N, c) for c in self._p_codes))
 
     def m_codes(self):

@@ -283,7 +283,7 @@ def _jc_as_matrix(N: int) -> SemiclassicalJ:
     """The constant tensor j_c as a matrix on pairs: a term y ⊗ z acts on
     v_i ⊗ v_j through row indices (row(y), row(z)) at column (col(y), col(z))."""
     out = SemiclassicalJ(N)
-    for ((y1, y2), (z1, z2)), c in jc_closed_form(N).terms.items():
+    for ((y1, y2), (z1, z2)), c in jc_closed_form(N).items():
         out.add((y1, z1), (y2, z2), 0, 0, c)
     return out
 
@@ -379,7 +379,7 @@ def compare_semiclassical(J: JMatrix) -> dict:
     return report
 
 
-def fuse_power_J(N: int, samples: int = 10, seed: int = 0) -> dict:
+def fuse_power_J(N: int, samples: int, seed: int) -> dict:
     """Associativity of fusion on canonical triples (t = 3 factors): the
     computational shadow of the module-category compatibility axiom.
     Each case records the seconds its triple took."""

@@ -34,7 +34,7 @@ elimination for any rank; tensorj.compute_J runs it on pairs.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, GeneratorOrder, gen_code, gen_ij
+from .algebra import AlgebraElement, GeneratorOrder, gen_code
 from .bk import truncated_t
 from .modules import (
     ModuleElement,
@@ -161,7 +161,7 @@ def _tilde_v(N: int, j: int) -> ModuleElement:
     for i in range(s):
         t = truncated_t(p, i + 1, a, 2, 1, s - i)
         sign = -1 if (s - i) % 2 else 1
-        vec = vec + ModuleElement.embed(t.value, p, (N - i,)).scale(sign)
+        vec = vec + ModuleElement.embed(t, p, (N - i,)).scale(sign)
     return reduce_mod_m_psi(vec)
 
 
@@ -253,23 +253,3 @@ def canonicalize(basis: WhittakerBasis) -> WhittakerBasis:
 
 def canonical_basis(N: int) -> WhittakerBasis:
     return canonicalize(build_basis(N))
-
-
-# ----------------------------------------------------------------------
-# membership of coefficients in head·U for a generator subset
-# ----------------------------------------------------------------------
-def in_head_product(x: AlgebraElement, head, p: Pyramid) -> bool:
-    """True when x lies in span(head)·U, tested in an adapted PBW order."""
-    if x.is_zero():
-        return True
-    N = p.N
-    head_codes = [gen_code(N, i, j) for (i, j) in sorted(head)]
-    if not head_codes:
-        return False
-    rest = [c for c in range(N * N) if c not in set(head_codes)]
-    rest.sort(key=lambda c: p.default_order().ranks[c])
-    ranked = [gen_ij(N, c) for c in head_codes + rest]
-    adapted = GeneratorOrder(N, ranked, label="head-first")
-    y = x.change_order(adapted)
-    head_set = set(head_codes)
-    return all(m and m[0][0] in head_set for m in y.monomials())

@@ -272,6 +272,8 @@ def test_import_footprint_of_compute_t():
     assert not seen["run_dataclasses"]
 
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+
 _TRACER = """
 import json, sys
 sys.path[:0] = sys.argv[1:3]
@@ -288,15 +290,55 @@ def test_benchmark_tracer_installs():
     # deleting or renaming a traced name breaks every traced run; a fresh
     # process keeps its wrappers out of this session
     src = os.path.dirname(os.path.dirname(os.path.abspath(walgebra.__file__)))
-    perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
     proc = subprocess.run(
-        [sys.executable, "-c", _TRACER, src, perfbench],
+        [sys.executable, "-c", _TRACER, src, PERFBENCH],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def _perfbench_modules():
+    """The benchmark's workload menus and output checks, imported read-only."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import menus
+        import ops
+    finally:
+        sys.path.remove(PERFBENCH)
+    return menus, ops
+
+
+_WALG = "import sys; from walgebra.cli import main; sys.exit(main(sys.argv[1:]))"
+
+GOLDEN_INPUTS = (
+    ("canonical-J", "J|N6|compare"),
+    ("selftest", "S|N5"),
+    ("t-generators", "T|subreg:7|k0|i1|j2|x1|r5"),
+    # a truncated input, whose label carries the "[k=1]" prefix
+    ("t-generators", "T|subreg:7|k1|i1|j2|x1|r5"),
+)
+
+
+@pytest.mark.parametrize("workload, key", GOLDEN_INPUTS, ids=[k for _, k in GOLDEN_INPUTS])
+def test_benchmark_golden_digests(workload, key):
+    # one cold walg run per input, checked as the benchmark checks it, so a
+    # byte change in a report or a compute-T payload fails here first
+    menus, ops = _perfbench_modules()
+    argv = dict(menus.candidates(workload))[key]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WALG, *argv],
+        capture_output=True,
+        env=ops.child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(ops.GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)["digests"]
+    digest, _ = ops.check_output(workload, proc.stdout)
+    assert digest == golden[key]
 
 
 def test_selftest_small(capsys):
@@ -385,7 +427,7 @@ def test_golden_t_fixture_matches_recomputation():
     p = Pyramid.subregular(4)
     assert data["order_fingerprint"] == p.default_order().fingerprint
     el = AlgebraElement.from_json(data["element"], p.default_order())
-    assert el == t_element(p, 2, 2, 1, 2).value
+    assert el == t_element(p, 2, 2, 1, 2)
 
 
 def test_report_determinism_no_timestamps():

@@ -62,22 +62,20 @@ def test_omega_column_relation():
 def test_jc_recursive_base_cases():
     jc = jc_recursive(3)
     # j_c columns: j_c^21(E*_31) = E_12, j_c^21(E*_32) = E_22
-    assert jc.terms[((1, 2), (3, 1))] == 1
-    assert jc.terms[((2, 2), (3, 2))] == 1
-    assert len(jc.terms) == 2
+    assert jc == {((1, 2), (3, 1)): 1, ((2, 2), (3, 2)): 1}
 
 
 def test_jc_closed_form_n3_n4():
     jc3 = jc_closed_form(3)
-    assert jc3.terms == {
-        ((2, 2), (3, 2)): Fraction(1),
-        ((1, 2), (3, 1)): Fraction(1),
+    assert jc3 == {
+        ((2, 2), (3, 2)): 1,
+        ((1, 2), (3, 1)): 1,
     }
     jc4 = jc_closed_form(4)
-    assert jc4.terms[((1, 3), (4, 1))] == 1
+    assert jc4[((1, 3), (4, 1))] == 1
     # the (4,3) column picks up both E_22 and E_33
-    assert jc4.terms[((2, 2), (4, 3))] == 1
-    assert jc4.terms[((3, 3), (4, 3))] == 1
+    assert jc4[((2, 2), (4, 3))] == 1
+    assert jc4[((3, 3), (4, 3))] == 1
 
 
 def test_jc_term_count_growth():
@@ -85,7 +83,7 @@ def test_jc_term_count_growth():
     for N in (4, 6, 8):
         jc = jc_closed_form(N)
         expected = sum((j - 1) * (N - j) for j in range(2, N)) + (N - 2)
-        assert len(jc.terms) == expected
+        assert len(jc) == expected
 
 
 @pytest.mark.parametrize("N", range(3, 9))
@@ -108,13 +106,13 @@ def test_verify_inverse_fails_closed(monkeypatch, doctor):
 
     def doctored(N):
         jc = honest(N)
-        key = min(jc.terms)
+        key = min(jc)
         if doctor == "drop":
-            del jc.terms[key]
+            del jc[key]
         elif doctor == "alter":
-            jc.terms[key] += 1
+            jc[key] += 1
         else:
-            jc.add((1, N), key[1])
+            jc[((1, N), key[1])] = 1
         return jc
 
     monkeypatch.setattr(geometry, "jc_recursive", doctored)
@@ -156,5 +154,5 @@ def test_verify_inverse_runtime():
 
 def test_rmatrix_antisymmetry_by_construction():
     jc = jc_closed_form(5)
-    r = jc - jc.swap_legs()
-    assert (r + r.swap_legs()).is_zero()
+    r = geometry._merged(jc, geometry._swap_legs(jc), -1)
+    assert r and not geometry._merged(r, geometry._swap_legs(r), 1)

@@ -36,6 +36,8 @@ from walgebra.whittaker import (
     in_l,
 )
 
+from twist import column_twist, dynamical_part, negated
+
 
 def _canonical_pair_generators(N, basis):
     """Oracle: the Gaussian construction on full representatives.
@@ -110,6 +112,11 @@ def J8():
 @pytest.fixture(scope="module")
 def J9():
     return compute_J(canonical_basis(9))
+
+
+@pytest.fixture(scope="module")
+def J10():
+    return compute_J(canonical_basis(10))
 
 
 @pytest.fixture(scope="module")
@@ -262,35 +269,6 @@ def test_compare_report_n5():
     assert j_structure_report(J5)["ok"]
 
 
-def _remap(s, coeff):
-    """A copy of s with each coefficient c of x21^p x11^q at (row, col)
-    replaced by coeff(row, col, (p, q), c)."""
-    out = SemiclassicalJ(s.N)
-    for (row, col), poly in s.entries.items():
-        for pq, c in poly.items():
-            out.add(row, col, pq[0], pq[1], coeff(row, col, pq, c))
-    return out
-
-
-def _negated(s):
-    return _remap(s, lambda row, col, pq, c: -c)
-
-
-def _dynamical_part(s):
-    """The terms of positive degree in (x21, x11)."""
-    return _remap(s, lambda row, col, pq, c: c if pq != (0, 0) else 0)
-
-
-def _column_twist(s):
-    """Conjugation by t = diag(t_k), t_k = (-1)^(col(k) - 1), on the
-    subregular pyramid.  It fixes m, p, l and the rho-shifts, sends psi to
-    -psi, and multiplies the entry at ((a, l), (i, j)) by t_a t_l t_i t_j:
-    the sign that turns E_ai ⊗ E_lj into Etilde_ai ⊗ Etilde_lj."""
-    p = Pyramid.subregular(s.N)
-    t = {k: (-1) ** (p.col(k) - 1) for k in range(1, s.N + 1)}
-    return _remap(s, lambda row, col, pq, c: t[row[0]] * t[row[1]] * t[col[0]] * t[col[1]] * c)
-
-
 def test_column_twist_relates_closed_form_conventions():
     # conjugation by t = diag((-1)^(col k - 1)) sends psi to -psi: it negates
     # j_c and exchanges the printed dynamical families with the 'positive' ones
@@ -299,16 +277,16 @@ def test_column_twist_relates_closed_form_conventions():
         positive = semiclassical_closed_form(N, "positive")
         jc = statement.constant_part()
         assert positive.constant_part() == jc
-        assert _column_twist(jc) == _negated(jc)
-        assert _column_twist(_dynamical_part(positive)) == _dynamical_part(statement)
-        assert _column_twist(_dynamical_part(statement)) == _dynamical_part(positive)
+        assert column_twist(jc) == negated(jc)
+        assert column_twist(dynamical_part(positive)) == dynamical_part(statement)
+        assert column_twist(dynamical_part(statement)) == dynamical_part(positive)
 
 
 def test_semiclassical_n6_is_jc_plus_twisted_statement(J6):
     limit = semiclassical_limit(J6)
     printed = semiclassical_closed_form(6, "statement")
     assert limit.constant_part() == printed.constant_part()
-    assert _dynamical_part(limit) == _column_twist(_dynamical_part(printed))
+    assert dynamical_part(limit) == column_twist(dynamical_part(printed))
     assert limit != printed
     assert limit == semiclassical_from_asymptotics(J6.basis)
 
@@ -327,6 +305,14 @@ def test_semiclassical_n9_is_jc_plus_positive(J9):
     assert limit.constant_part() == semiclassical_closed_form(9, "statement").constant_part()
     assert limit == semiclassical_closed_form(9, "positive")
     assert limit == semiclassical_from_asymptotics(J9.basis)
+
+
+def test_semiclassical_n10_is_jc_plus_twisted_statement(J10):
+    limit = semiclassical_limit(J10)
+    printed = semiclassical_closed_form(10, "statement")
+    assert limit.constant_part() == printed.constant_part()
+    assert dynamical_part(limit) == column_twist(dynamical_part(printed))
+    assert limit == semiclassical_from_asymptotics(J10.basis)
 
 
 def test_asymptotic_recomputation_agrees(J3, J4):
@@ -478,6 +464,14 @@ def test_j9_golden_digest(J9):
     # recorded at commit 2b9a342, with the basis gates checking all of m
     assert _digest(J9.to_json()) == (
         "266e4c70f9b0c1a018b08d2c519975e8655abf8f74c625e7a8583cc824858dd8"
+    )
+
+
+def test_j10_golden_digest(J10):
+    # recorded at commit d0a1ba4, before the T-elements and j_c were
+    # returned as plain values
+    assert _digest(J10.to_json()) == (
+        "c9d4be5cbf33a1791ebeb8ecc5413d044435eaaf85423aa7a697ace31efaf626"
     )
 
 
