@@ -186,30 +186,3 @@ def t1_closed_form(p: Pyramid, i: int, j: int, x: int) -> AlgebraElement:
             if p.row(k) == j and p.col(k) == p.col(h):
                 acc = acc + p.modified_gen(h, k)
     return acc.scale(_sigma(j, x))
-
-
-def subregular_w_generators(N: int):
-    """The N+2 generators of the subregular W-algebra:
-    T^(1)_[11;0], T^(1)_[21;1], T^(N-1)_[12;1] and T^(r)_[22;1] for
-    1 <= r <= N-1."""
-    if N < 2:
-        raise ValueError("need N >= 2")
-    p = Pyramid.subregular(N)
-    gens = [
-        t_element(p, 1, 1, 0, 1),
-        t_element(p, 2, 1, 1, 1),
-        t_element(p, 1, 2, 1, N - 1),
-    ]
-    for r in range(1, N):
-        gens.append(t_element(p, 2, 2, 1, r))
-    return gens
-
-
-def in_parabolic(value: AlgebraElement, p: Pyramid) -> bool:
-    """True when every monomial factor lies in the parabolic part."""
-    m_codes = p.m_codes()
-    for mono in value.monomials():
-        for g, _ in mono:
-            if g in m_codes:
-                return False
-    return True

@@ -7,10 +7,12 @@ defines the 2-form
 
     omega(x, y) = Tr(e · [x, y])
 
-on w, computed here by exact matrix algebra over the rationals.  Both m
-and b are isotropic, omega is non-degenerate, and its inverse is
-r_w = j_c - j_c^21 where j_c is a tensor with first legs in b and second
-legs in m and j_c^21 is its leg swap.
+on w, computed here by exact matrix algebra over the rationals.  The
+basis of w is a plain tuple, b followed by m (wonderbolic_basis), and
+omega_matrix gives the Gram matrix on it.  Both m and b are isotropic,
+omega is non-degenerate, and its inverse is r_w = j_c - j_c^21 where
+j_c is a tensor with first legs in b and second legs in m and j_c^21 is
+its leg swap.
 
 Two independent constructions of j_c are kept side by side and checked
 against each other:
@@ -66,31 +68,13 @@ def _e_matrix(p: Pyramid):
     return m
 
 
-class WonderbolicBasis:
-    """Ordered basis of w = m ⊕ b for the subregular pyramid."""
-
-    __slots__ = ("pyramid", "b_basis", "m_basis", "w_basis", "index")
-
-    def __init__(self, N: int):
-        p = Pyramid.subregular(N)
-        b, _, _, m = p.subregular_roles()
-        self.pyramid = p
-        self.b_basis = tuple(b)
-        self.m_basis = tuple(m)
-        self.w_basis = self.b_basis + self.m_basis
-        self.index = {ij: k for k, ij in enumerate(self.w_basis)}
-        if len(self.b_basis) != len(self.m_basis):
-            raise GeometryError("b and m should have equal dimension")
-
-    @property
-    def N(self) -> int:
-        return self.pyramid.N
-
-    def contains(self, i: int, j: int) -> bool:
-        return (i, j) in self.index
-
-    def dim(self) -> int:
-        return len(self.w_basis)
+def wonderbolic_basis(N: int) -> tuple:
+    """(w, nb): the ordered basis w = b + m of the wonderbolic subspace
+    and the size nb of b."""
+    b, _, _, m = Pyramid.subregular(N).subregular_roles()
+    if len(b) != len(m):
+        raise GeometryError("b and m should have equal dimension")
+    return tuple(b) + tuple(m), len(b)
 
 
 def omega_pairing(p: Pyramid, x, y) -> Fraction:
@@ -105,8 +89,9 @@ def omega_pairing(p: Pyramid, x, y) -> Fraction:
     return _trace(N, _mat_mul(N, e, comm))
 
 
-def omega_matrix(N: int) -> tuple[WonderbolicBasis, list]:
-    """The antisymmetric Gram matrix of omega on the wonderbolic basis.
+def omega_matrix(N: int) -> tuple:
+    """(w, nb, gram): the wonderbolic basis, the size of b, and the
+    antisymmetric Gram matrix of omega on w.
 
     Entries come from the structure constants: with tr_e(u, v) = 1 exactly
     when u = v+1 and 2 <= v <= N-1 (so that Tr(e E_uv) = tr_e(u, v)),
@@ -118,21 +103,20 @@ def omega_matrix(N: int) -> tuple[WonderbolicBasis, list]:
     """
     if N < 3:
         raise GeometryError("need N >= 3")
-    basis = WonderbolicBasis(N)
+    w, nb = wonderbolic_basis(N)
 
     def tr_e(u: int, v: int) -> int:
         return 1 if (u == v + 1 and 2 <= v <= N - 1) else 0
 
-    d = basis.dim()
-    gram = [[Fraction(0)] * d for _ in range(d)]
-    for ai, (a, b) in enumerate(basis.w_basis):
-        for bi, (c, dd) in enumerate(basis.w_basis):
+    gram = [[Fraction(0)] * len(w) for _ in w]
+    for ai, (a, b) in enumerate(w):
+        for bi, (c, dd) in enumerate(w):
             if ai >= bi:
                 continue
             val = Fraction((1 if b == c else 0) * tr_e(a, dd) - (1 if dd == a else 0) * tr_e(c, b))
             gram[ai][bi] = val
             gram[bi][ai] = -val
-    return basis, gram
+    return w, nb, gram
 
 
 def _det_exact(matrix) -> Fraction:
@@ -173,7 +157,8 @@ def jc_recursive(N: int) -> dict:
     assembled as a tensor {(first (i,j) in b, second (i,j) in m): c}."""
     if N < 3:
         raise GeometryError("need N >= 3")
-    basis = WonderbolicBasis(N)
+    w, nb = wonderbolic_basis(N)
+    index = {v: k for k, v in enumerate(w)}
     image: dict = {}
 
     def j21(i: int, j: int):
@@ -191,9 +176,9 @@ def jc_recursive(N: int) -> dict:
         return out
 
     jc: dict = {}
-    for (i, j) in basis.m_basis:
+    for (i, j) in w[nb:]:
         for bgen, c in j21(i, j).items():
-            if bgen not in basis.index:
+            if bgen not in index:
                 raise GeometryError("recursion left b: %r" % (bgen,))
             add_term(jc, (bgen, (i, j)), c)
     return jc
@@ -216,14 +201,11 @@ def jc_closed_form(N: int) -> dict:
 
 def verify_inverse(N: int) -> dict:
     """Cross-check everything; returns a structured report dict."""
-    basis, gram = omega_matrix(N)
-    nb = len(basis.b_basis)
+    w, nb, gram = omega_matrix(N)
     checks = {}
     # m and b are isotropic: zero diagonal blocks
     iso_b = all(gram[a][b] == 0 for a in range(nb) for b in range(nb))
-    iso_m = all(
-        gram[a][b] == 0 for a in range(nb, basis.dim()) for b in range(nb, basis.dim())
-    )
+    iso_m = all(gram[a][b] == 0 for a in range(nb, len(w)) for b in range(nb, len(w)))
     checks["isotropic_b"] = iso_b
     checks["isotropic_m"] = iso_m
     det = _det_exact(gram)
@@ -236,7 +218,7 @@ def verify_inverse(N: int) -> dict:
     # phi = omega(v, .) returns v for every basis vector v of w
     r_w = _merged(rec, _swap_legs(rec), -1)
     checks["antisymmetric"] = not _merged(r_w, _swap_legs(r_w), 1)
-    idx = basis.index
+    idx = {v: k for k, v in enumerate(w)}
 
     def phi_of_r_w(a: int) -> dict:
         """sum_t omega(w_a, x_t) y_t over the terms x_t ⊗ y_t of r_w."""
@@ -248,15 +230,14 @@ def verify_inverse(N: int) -> dict:
         return acc
 
     checks["inverse_on_w"] = all(f in idx for f, _ in r_w) and all(
-        phi_of_r_w(a) == {v: 1} for a, v in enumerate(basis.w_basis)
+        phi_of_r_w(a) == {v: 1} for a, v in enumerate(w)
     )
     # e is a 0/1 combination of distinct matrix units, so it lies in w
     # exactly when every summand does; the column-N summand never does
-    p = basis.pyramid
-    checks["e_outside_w"] = not all(basis.contains(i, j) for (i, j) in p.e_pairs())
-    checks["dim_w"] = basis.dim()
+    checks["e_outside_w"] = not all(ij in idx for ij in Pyramid.subregular(N).e_pairs())
+    checks["dim_w"] = len(w)
     checks["dim_b"] = nb
-    checks["dim_m"] = len(basis.m_basis)
+    checks["dim_m"] = len(w) - nb
     report = {
         "N": N,
         "checks": checks,

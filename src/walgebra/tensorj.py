@@ -11,9 +11,12 @@ removes the obstructions and defines
 
 with entries c_ij^al in U_hbar(l).  Every entry is divisible by hbar;
 the first hbar-order, with PBW monomials E_21^p E_11^q read as commuting
-monomials x21^p x11^q, is the semi-classical tensor j.  Its constant
-part must reproduce the wonderbolic tensor j_c, and the dynamical part
-is compared entry by entry against candidate closed forms.
+monomials x21^p x11^q, is the semi-classical tensor j.  It is a plain
+term map {(row, col, p, q): c} for c·x21^p·x11^q at the entry
+(row, col), built with add_term like every term map of the package.
+Its constant part must reproduce the wonderbolic tensor j_c, and the
+dynamical part is compared entry by entry against candidate closed
+forms.
 
 J is computed in the left b-quotient.  Let B_t = b·U ⊗ V^{⊗t}, the span
 of the terms whose monomial starts with a b-generator, and pi the
@@ -137,20 +140,16 @@ def j_structure_report(J: JMatrix) -> dict:
     """The structural facts about J - id, checked exactly."""
     p = J.pyramid
     l_mono = in_l(p)
-    support_ok = True
-    hbar_ok = True
-    in_l_ok = True
     bad = []
     for ((a, l), (i, j)), c in J.sorted_entries():
-        if not (a <= i and l > j):
-            support_ok = False
-            bad.append({"row": [a, l], "col": [i, j], "why": "support"})
-        if not c.divisible_by_hbar():
-            hbar_ok = False
-            bad.append({"row": [a, l], "col": [i, j], "why": "hbar"})
-        if not all(l_mono(m) for m in c.monomials()):
-            in_l_ok = False
-            bad.append({"row": [a, l], "col": [i, j], "why": "not-in-l"})
+        for why, ok in (
+            ("support", a <= i and l > j),
+            ("hbar", c.divisible_by_hbar()),
+            ("not-in-l", all(l_mono(m) for m in c.monomials())),
+        ):
+            if not ok:
+                bad.append({"row": [a, l], "col": [i, j], "why": why})
+    whys = {v["why"] for v in bad}
     pairs_ok = all(
         J.pair_generators[(i, j)].coefficient_at((i, j))
         == AlgebraElement.one(p.default_order())
@@ -159,100 +158,52 @@ def j_structure_report(J: JMatrix) -> dict:
     )
     return {
         "N": J.N,
-        "support_upper_triangular": support_ok,
-        "entries_divisible_by_hbar": hbar_ok,
-        "entries_in_l": in_l_ok,
+        "support_upper_triangular": "support" not in whys,
+        "entries_divisible_by_hbar": "hbar" not in whys,
+        "entries_in_l": "not-in-l" not in whys,
         "unipotent_diagonal": pairs_ok,
         "violations": bad,
-        "ok": support_ok and hbar_ok and in_l_ok and pairs_ok,
+        "ok": not bad and pairs_ok,
     }
 
 
 # ----------------------------------------------------------------------
 # the first hbar-order
 # ----------------------------------------------------------------------
-class SemiclassicalJ:
-    """Entries as commuting polynomials in (x21, x11): {(p, q): coeff}."""
+def constant_part(s: dict) -> dict:
+    """The terms of degree zero in (x21, x11)."""
+    return {k: c for k, c in s.items() if k[2:] == (0, 0)}
 
-    def __init__(self, N: int):
-        self.N = N
-        self.entries = {}
 
-    def add(self, row: tuple, col: tuple, x21_exp: int, x11_exp: int, coeff):
-        key = (row, col)
-        poly = self.entries.setdefault(key, {})
-        add_term(poly, (x21_exp, x11_exp), coeff)
-        if not poly:
-            del self.entries[key]
+def _by_entry(s: dict) -> dict:
+    """{(row, col): {(p, q): c}}, entries and terms in sorted order."""
+    out: dict = {}
+    for (row, col, p, q), c in sorted(s.items()):
+        out.setdefault((row, col), {})[(p, q)] = c
+    return out
 
-    def constant_part(self) -> "SemiclassicalJ":
-        out = SemiclassicalJ(self.N)
-        for (row, col), poly in self.entries.items():
-            c = poly.get((0, 0))
-            if c:
-                out.add(row, col, 0, 0, c)
-        return out
 
-    def max_x_degree(self) -> int:
-        return max((p + q for poly in self.entries.values() for p, q in poly), default=0)
-
-    def __eq__(self, other):
-        return isinstance(other, SemiclassicalJ) and self.N == other.N and self.entries == other.entries
-
-    def diff(self, other: "SemiclassicalJ"):
-        """Entry-level differences: (row, col, mine, theirs)."""
-        out = []
-        keys = set(self.entries) | set(other.entries)
-        for key in sorted(keys):
-            a = self.entries.get(key, {})
-            b = other.entries.get(key, {})
-            if a != b:
-                out.append((key[0], key[1], dict(a), dict(b)))
-        return out
-
-    def sorted_entries(self):
-        return sorted(
-            ((row, col), dict(sorted(poly.items())))
-            for (row, col), poly in self.entries.items()
-        )
-
-    @staticmethod
-    def render_poly(poly: dict) -> str:
-        if not poly:
-            return "0"
-        parts = []
-        for (pq, c) in sorted(poly.items()):
-            mono = []
-            if pq[0]:
-                mono.append("x21" + ("^%d" % pq[0] if pq[0] > 1 else ""))
-            if pq[1]:
-                mono.append("x11" + ("^%d" % pq[1] if pq[1] > 1 else ""))
-            ms = "·".join(mono) if mono else "1"
-            if c == 1 and mono:
-                parts.append(ms)
-            elif c == -1 and mono:
-                parts.append("-" + ms)
-            elif not mono:
-                parts.append(str(c))
-            else:
-                parts.append("%s·%s" % (c, ms))
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "entries": [
-                {
-                    "row": list(row),
-                    "col": list(col),
-                    "poly": [
-                        {"x21": pq[0], "x11": pq[1], "coeff": "%d/%d" % (c.numerator, c.denominator)}
-                        for pq, c in sorted(poly.items())
-                    ],
-                }
-                for (row, col), poly in self.sorted_entries()
-            ],
-        }
+def render_poly(poly: dict) -> str:
+    """{(p, q): c} as text in x21 and x11."""
+    if not poly:
+        return "0"
+    parts = []
+    for (pq, c) in sorted(poly.items()):
+        mono = []
+        if pq[0]:
+            mono.append("x21" + ("^%d" % pq[0] if pq[0] > 1 else ""))
+        if pq[1]:
+            mono.append("x11" + ("^%d" % pq[1] if pq[1] > 1 else ""))
+        ms = "·".join(mono) if mono else "1"
+        if c == 1 and mono:
+            parts.append(ms)
+        elif c == -1 and mono:
+            parts.append("-" + ms)
+        elif not mono:
+            parts.append(str(c))
+        else:
+            parts.append("%s·%s" % (c, ms))
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 def _l_exponents(mono, l_codes) -> tuple:
@@ -266,29 +217,28 @@ def _l_exponents(mono, l_codes) -> tuple:
     return tuple(exps.values())
 
 
-def semiclassical_limit(J: JMatrix) -> SemiclassicalJ:
+def semiclassical_limit(J: JMatrix) -> dict:
     """(J - id)/hbar at hbar = 0, with E_21^p E_11^q read as x21^p x11^q."""
     l_codes = J.pyramid.l_codes()
-    out = SemiclassicalJ(J.N)
+    out: dict = {}
     for key, c in J.entries.items():
         if not c.divisible_by_hbar():
             raise TensorJError("entry %r is not divisible by hbar" % (key,))
         for (mono, d), q in c.terms.items():
             if d == 1:
-                out.add(*key, *_l_exponents(mono, l_codes), q)
+                add_term(out, (*key, *_l_exponents(mono, l_codes)), q)
     return out
 
 
-def _jc_as_matrix(N: int) -> SemiclassicalJ:
+def _jc_as_matrix(N: int) -> dict:
     """The constant tensor j_c as a matrix on pairs: a term y ⊗ z acts on
     v_i ⊗ v_j through row indices (row(y), row(z)) at column (col(y), col(z))."""
-    out = SemiclassicalJ(N)
-    for ((y1, y2), (z1, z2)), c in jc_closed_form(N).items():
-        out.add((y1, z1), (y2, z2), 0, 0, c)
-    return out
+    return {
+        ((y1, z1), (y2, z2), 0, 0): c for ((y1, y2), (z1, z2)), c in jc_closed_form(N).items()
+    }
 
 
-def semiclassical_closed_form(N: int, second_family: str) -> SemiclassicalJ:
+def semiclassical_closed_form(N: int, second_family: str) -> dict:
     """Candidate closed form: j_c plus the two dynamical families.
 
     second_family selects the printed variant of the E_{i,1} family:
@@ -307,29 +257,29 @@ def semiclassical_closed_form(N: int, second_family: str) -> SemiclassicalJ:
         for i in range(j + 2, N + 1):
             for r in range(2, i - j + 1):
                 sign = 1 if positive else (-1) ** (i - j - r)
-                out.add((1, i), (r, j), 1, i - j - r, sign)
+                add_term(out, ((1, i), (r, j), 1, i - j - r), sign)
     if second_family in ("statement", "positive"):
         for i in range(4, N + 1):
             for r in range(2, i - 1):
                 sign = 1 if positive else (-1) ** (i - r)
-                out.add((1, i), (r, 1), 0, i - r - 1, sign)
+                add_term(out, ((1, i), (r, 1), 0, i - r - 1), sign)
     elif second_family == "proof":
         for i in range(4, N + 1):
             for r in range(2, i):
-                out.add((1, i), (r, 1), 0, i - r, (-1) ** (i - r))
+                add_term(out, ((1, i), (r, 1), 0, i - r), (-1) ** (i - r))
     else:
         raise ValueError("unknown second_family %r" % second_family)
     return out
 
 
-def semiclassical_from_asymptotics(basis: WhittakerBasis) -> SemiclassicalJ:
+def semiclassical_from_asymptotics(basis: WhittakerBasis) -> dict:
     """First hbar-order recomputed from the hbar-constant linear and
     l-linear coefficient parts alone: a single transport step of the
     leading generator of each such part past the first slot."""
     p = basis.pyramid
     N = basis.N
     l_codes = p.l_codes()
-    out = SemiclassicalJ(N)
+    out: dict = {}
     for j in range(1, N + 1):
         for slots, x in basis.vector(j).by_slots().items():
             l = slots[0]
@@ -339,7 +289,7 @@ def semiclassical_from_asymptotics(basis: WhittakerBasis) -> SemiclassicalJ:
             for part in asymptotic_parts(x, p):
                 for (mono, _d), c in part.terms.items():
                     a, i = gen_ij(N, mono[0][0])
-                    out.add((a, l), (i, j), *_l_exponents(mono[1:], l_codes), -c)
+                    add_term(out, ((a, l), (i, j), *_l_exponents(mono[1:], l_codes)), -c)
     return out
 
 
@@ -348,34 +298,48 @@ def compare_semiclassical(J: JMatrix) -> dict:
     forms; mismatches are reported as data."""
     N = J.N
     computed = semiclassical_limit(J)
+    mine = _by_entry(computed)
     report: dict = {"N": N}
-    jc = _jc_as_matrix(N)
-    report["constant_part_equals_jc"] = computed.constant_part() == jc
-    degree = computed.max_x_degree()
+    report["constant_part_equals_jc"] = constant_part(computed) == _jc_as_matrix(N)
+    degree = max((p + q for _, _, p, q in computed), default=0)
     report["max_x_degree"] = degree
     report["x_degree_bound_ok"] = degree <= max(N - 3, 0)
     matches = {}
     diffs = {}
     for variant in ("statement", "proof", "positive"):
-        cand = semiclassical_closed_form(N, second_family=variant)
-        d = computed.diff(cand)
-        matches[variant] = not d
-        diffs[variant] = [
+        theirs = _by_entry(semiclassical_closed_form(N, second_family=variant))
+        d = [
             {
-                "row": list(row),
-                "col": list(col),
-                "computed": SemiclassicalJ.render_poly(mine),
-                "closed_form": SemiclassicalJ.render_poly(theirs),
+                "row": list(key[0]),
+                "col": list(key[1]),
+                "computed": render_poly(mine.get(key, {})),
+                "closed_form": render_poly(theirs.get(key, {})),
             }
-            for row, col, mine, theirs in d
+            for key in sorted(mine.keys() | theirs.keys())
+            if mine.get(key) != theirs.get(key)
         ]
+        matches[variant] = not d
+        diffs[variant] = d
     report["matches"] = matches
     # prefer reporting a printed convention when one fits
     report["matched_convention"] = next(
         (k for k in ("statement", "proof", "positive") if matches[k]), None
     )
     report["diffs"] = diffs
-    report["computed"] = computed.to_json()
+    report["computed"] = {
+        "N": N,
+        "entries": [
+            {
+                "row": list(row),
+                "col": list(col),
+                "poly": [
+                    {"x21": p, "x11": q, "coeff": "%d/%d" % (c.numerator, c.denominator)}
+                    for (p, q), c in poly.items()
+                ],
+            }
+            for (row, col), poly in mine.items()
+        ],
+    }
     return report
 
 

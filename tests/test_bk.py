@@ -6,13 +6,13 @@ import pytest
 from walgebra.algebra import AlgebraElement
 from walgebra.bk import (
     chain_sum,
-    in_parabolic,
-    subregular_w_generators,
     t1_closed_form,
     t_element,
     truncated_t,
 )
 from walgebra.pyramid import Pyramid
+
+from w_generators import subregular_w_generators
 
 
 def E(order, i, j):
@@ -132,6 +132,12 @@ def test_t1_single_block():
     p = Pyramid((1,))
     assert t1_closed_form(p, 1, 1, 0) == p.modified_gen(1, 1)
     assert t_element(p, 1, 1, 0, 1) == p.modified_gen(1, 1)
+
+
+def in_parabolic(value: AlgebraElement, p: Pyramid) -> bool:
+    """True when no monomial has a factor in m."""
+    m_codes = p.m_codes()
+    return not any(g in m_codes for mono in value.monomials() for g, _ in mono)
 
 
 def test_values_lie_in_parabolic():

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -419,6 +420,30 @@ def test_golden_j3_report_matches_recomputation(capsys, tmp_path):
     assert code == 0
     fresh = load_fixture(str(out_path))
     assert fresh.comparison_payload() == golden.comparison_payload()
+
+
+REPORT_DIGESTS = {
+    ("check-omega", "--N", "3"): "8934dd3450b33926dfac745299b811262a5f3670367b7318625d901115b3d896",
+    ("check-omega", "--N", "4"): "3d6214560142981476b1f4fb885cf5b142271adbbb07b9fd39f8c9367e418234",
+    ("check-omega", "--N", "5"): "e7e26d687792a8cf4d3a399dd135d59d5dd259f3a2f5f75d74ff689f8d8ac98f",
+    ("check-omega", "--N", "6"): "6ca6ff6407b7f3fa4e55ede3da2506d672f73bb54a4bcc456b73cacd924f1123",
+    ("check-omega", "--N", "7"): "b63703a66cc747b210e14b08e0d0e5cbda1029e2c87041179c61a4275affb957",
+    ("check-omega", "--N", "8"): "d74b87c413ef3a45d910eb8b40cea5255cd56c1de99f67cb587977c690aa8dfe",
+    # the literal N=5 mismatch data of the semi-classical comparison
+    ("compute-J", "--N", "5", "--compare"): "6a60904e581fbde4d70445f5cca59c0cf0cd26a767168940e3473dffb9c730fb",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", sorted(REPORT_DIGESTS), ids=lambda argv: "-".join(a.lstrip("-") for a in argv)
+)
+def test_report_payload_digests(capsys, tmp_path, argv):
+    # the whole deterministic report, meta included, pinned byte for byte
+    path = tmp_path / "report.json"
+    code, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0
+    payload = json.dumps(load_fixture(str(path)).comparison_payload(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == REPORT_DIGESTS[argv]
 
 
 def test_golden_t_fixture_matches_recomputation():

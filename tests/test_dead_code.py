@@ -6,7 +6,11 @@ each non-dunder method in src/walgebra.  A function or class counts as
 referenced by a name, an attribute or an import of it; a method by an
 attribute `.name` or by a string constant "Class.name", the form the
 benchmark tracer's SPANS use.  Words in docstrings and comments do not
-count: a string counts only when it is exactly "Class.name".
+count: a string counts only when it is exactly "Class.name".  A
+definition whose only references are in tests/ must be named in
+TEST_ONLY, with the reason it is kept; a new test-only API fails until
+someone names it, and an entry whose definition gains a caller in src/
+or perfbench/, or is deleted, fails until it is removed.
 
 A second scan requires each name an import binds in a file of src/ or
 tests/ to be read as a name somewhere in that file, or listed in its
@@ -22,6 +26,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "walgebra"
 SCANNED = ("src", "tests", "perfbench")
+
+# src/ definitions referenced only from tests/: test oracles and fixture
+# tools, each kept for the reason given
+TEST_ONLY = (
+    ("algebra.AlgebraElement.kazhdan_degree", "oracle: the filtration degree of the T-elements"),
+    ("bk.chain_sum", "oracle: the written per-chain sum; the benchmark tracer spans it"),
+    ("geometry.omega_pairing", "oracle: omega by matrix products, against omega_matrix"),
+    ("modules.ModuleElement.from_json", "fixture tool: reads module elements back from JSON"),
+    ("modules.transport", "oracle: fuse rebuilt term by term; the benchmark tracer spans it"),
+    ("pyramid.Pyramid.nilpotent_e", "oracle: e as an element, against e_pairs"),
+    ("pyramid.CharacterPsi.support", "oracle: where psi is nonzero, against the pyramid shape"),
+    ("reports.VerificationReport.comparison_payload", "fixture tool: reports compared without wall times"),
+    ("reports.save_fixture", "fixture tool: writes a report fixture"),
+    ("reports.load_fixture", "fixture tool: reads a report fixture"),
+    ("whittaker.linear_part_closed_form", "oracle: printed linear parts of the T-elements"),
+    ("whittaker.t22_l_linear_closed_form", "oracle: printed l-linear parts of T_22"),
+    ("whittaker.t12_l_linear_closed_form", "oracle: printed l-linear parts of T_12"),
+)
 
 
 def _definitions(tree: ast.Module, module: str):
@@ -62,19 +84,28 @@ def test_every_definition_is_referenced():
         for top in SCANNED
         for path in sorted((ROOT / top).rglob("*.py"))
     }
-    refs: dict = defaultdict(list)
-    for tree in trees.values():
-        _references(tree, (), refs)
+    refs = {top: defaultdict(list) for top in SCANNED}
+    for path, tree in trees.items():
+        _references(tree, (), refs[path.relative_to(ROOT).parts[0]])
     unreferenced = []
+    test_only = []
     for path in sorted(PACKAGE.glob("*.py")):
         for label, name, node, is_method in _definitions(trees[path], path.stem):
             if is_method:
                 wanted = [("attr", name.split(".")[1]), ("string", name)]
             else:
                 wanted = [("name", name), ("attr", name)]
-            if not any(node not in where for key in wanted for where in refs.get(key, ())):
+            callers = {
+                top
+                for top in SCANNED
+                if any(node not in where for key in wanted for where in refs[top].get(key, ()))
+            }
+            if not callers:
                 unreferenced.append(label)
+            elif callers == {"tests"}:
+                test_only.append(label)
     assert unreferenced == []
+    assert sorted(test_only) == sorted(label for label, _ in TEST_ONLY)
 
 
 def _unused_imports(tree: ast.Module):

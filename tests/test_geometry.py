@@ -4,37 +4,38 @@ import pytest
 
 from walgebra import geometry
 from walgebra.geometry import (
-    WonderbolicBasis,
     _det_exact,
     jc_closed_form,
     jc_recursive,
     omega_matrix,
     verify_inverse,
+    wonderbolic_basis,
 )
+from walgebra.pyramid import Pyramid
 
 
 def test_wonderbolic_dimensions():
     for N in range(3, 9):
-        w = WonderbolicBasis(N)
-        assert w.dim() == 2 * len(w.m_basis)
-        assert len(w.b_basis) == len(w.m_basis) == N * (N - 1) // 2 - 1
+        w, nb = wonderbolic_basis(N)
+        assert len(w) == 2 * nb
+        assert nb == N * (N - 1) // 2 - 1
 
 
 def test_wonderbolic_pattern():
     # zero first two entries of rows 1-2 except the b block, zero last column
-    w = WonderbolicBasis(4)
-    assert not w.contains(1, 1) and not w.contains(2, 1)
-    assert not w.contains(1, 4) and not w.contains(3, 4)
-    assert w.contains(1, 2) and w.contains(2, 2) and w.contains(3, 1)
+    w, _ = wonderbolic_basis(4)
+    assert (1, 1) not in w and (2, 1) not in w
+    assert (1, 4) not in w and (3, 4) not in w
+    assert (1, 2) in w and (2, 2) in w and (3, 1) in w
 
 
 def test_omega_example_n3():
-    basis, gram = omega_matrix(3)
-    a = basis.index[(3, 1)]
-    b = basis.index[(1, 2)]
+    w, _, gram = omega_matrix(3)
+    a = w.index((3, 1))
+    b = w.index((1, 2))
     # omega(E31, E12) = Tr(e [E31, E12]) = Tr(E23 E32) = 1
     assert gram[a][b] == 1
-    for k in range(basis.dim()):
+    for k in range(len(w)):
         assert gram[k][k] == 0
 
 
@@ -42,20 +43,17 @@ def test_omega_column_relation():
     # omega(E_{j,i-1}, E_{i,j}) = -1 and, for j >= 3,
     # omega(E_{j,i-1}, E_{i-1,j-1}) = +1, all other m-pairings zero
     N = 5
-    basis, gram = omega_matrix(N)
-    for (j, c) in basis.b_basis:
+    w, nb, gram = omega_matrix(N)
+    index = {v: k for k, v in enumerate(w)}
+    for (j, c) in w[:nb]:
         i = c + 1
-        row = gram[basis.index[(j, c)]]
+        row = gram[index[(j, c)]]
         expected = {}
-        if (i, j) in basis.index:
+        if (i, j) in index:
             expected[(i, j)] = Fraction(-1)
-        if j >= 3 and (i - 1, j - 1) in basis.index:
+        if j >= 3 and (i - 1, j - 1) in index:
             expected[(i - 1, j - 1)] = Fraction(1)
-        got = {
-            m: row[basis.index[m]]
-            for m in basis.m_basis
-            if row[basis.index[m]] != 0
-        }
+        got = {m: row[index[m]] for m in w[nb:] if row[index[m]] != 0}
         assert got == expected, ((j, c), got, expected)
 
 
@@ -135,12 +133,11 @@ def test_omega_structure_constants_match_matrix_products():
 
     rng = random.Random(3)
     for N in (3, 5, 7):
-        basis, gram = omega_matrix(N)
+        w, _, gram = omega_matrix(N)
         for _ in range(40):
-            a = rng.randrange(basis.dim())
-            b = rng.randrange(basis.dim())
-            x, y = basis.w_basis[a], basis.w_basis[b]
-            assert gram[a][b] == omega_pairing(basis.pyramid, x, y)
+            a = rng.randrange(len(w))
+            b = rng.randrange(len(w))
+            assert gram[a][b] == omega_pairing(Pyramid.subregular(N), w[a], w[b])
 
 
 def test_verify_inverse_runtime():

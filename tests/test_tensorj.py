@@ -16,12 +16,14 @@ from walgebra.modules import (
 from walgebra.pyramid import Pyramid
 from walgebra.tensorj import (
     JMatrix,
-    SemiclassicalJ,
     TensorJError,
+    _by_entry,
     compare_semiclassical,
     compute_J,
+    constant_part,
     fuse_power_J,
     j_structure_report,
+    render_poly,
     semiclassical_closed_form,
     semiclassical_from_asymptotics,
     semiclassical_limit,
@@ -229,20 +231,19 @@ def test_semiclassical_n3_is_jc(J3):
     assert limit == semiclassical_closed_form(3, "statement")
     # the dynamical ranges are empty at N=3, so all variants coincide
     assert limit == semiclassical_closed_form(3, "proof")
-    assert limit.max_x_degree() == 0
+    assert constant_part(limit) == limit
 
 
 def test_semiclassical_n4_matches_statement(J4):
-    from fractions import Fraction
-
     limit = semiclassical_limit(J4)
     assert limit == semiclassical_closed_form(4, "statement")
     assert limit != semiclassical_closed_form(4, "proof")
-    assert limit.max_x_degree() <= 1
+    assert all(x21 + x11 <= 1 for _, _, x21, x11 in limit)
+    entries = _by_entry(limit)
     # the x11-dynamical entry at first leg E_12, second leg E_41
-    assert limit.entries[((1, 4), (2, 1))] == {(0, 1): Fraction(1)}
+    assert entries[((1, 4), (2, 1))] == {(0, 1): 1}
     # and the x21 entry at first leg E_12, second leg E_42
-    assert limit.entries[((1, 4), (2, 2))] == {(1, 0): Fraction(1)}
+    assert entries[((1, 4), (2, 2))] == {(1, 0): 1}
 
 
 def test_compare_report_n4(J4):
@@ -275,18 +276,18 @@ def test_column_twist_relates_closed_form_conventions():
     for N in range(3, 10):
         statement = semiclassical_closed_form(N, "statement")
         positive = semiclassical_closed_form(N, "positive")
-        jc = statement.constant_part()
-        assert positive.constant_part() == jc
-        assert column_twist(jc) == negated(jc)
-        assert column_twist(dynamical_part(positive)) == dynamical_part(statement)
-        assert column_twist(dynamical_part(statement)) == dynamical_part(positive)
+        jc = constant_part(statement)
+        assert constant_part(positive) == jc
+        assert column_twist(N, jc) == negated(jc)
+        assert column_twist(N, dynamical_part(positive)) == dynamical_part(statement)
+        assert column_twist(N, dynamical_part(statement)) == dynamical_part(positive)
 
 
 def test_semiclassical_n6_is_jc_plus_twisted_statement(J6):
     limit = semiclassical_limit(J6)
     printed = semiclassical_closed_form(6, "statement")
-    assert limit.constant_part() == printed.constant_part()
-    assert dynamical_part(limit) == column_twist(dynamical_part(printed))
+    assert constant_part(limit) == constant_part(printed)
+    assert dynamical_part(limit) == column_twist(6, dynamical_part(printed))
     assert limit != printed
     assert limit == semiclassical_from_asymptotics(J6.basis)
 
@@ -295,14 +296,14 @@ def test_semiclassical_n7_n8_is_jc_plus_positive(J7, J8):
     # criterion-8 evidence beyond the criterion's own N range
     for J in (J7, J8):
         limit = semiclassical_limit(J)
-        assert limit.constant_part() == semiclassical_closed_form(J.N, "statement").constant_part()
+        assert constant_part(limit) == constant_part(semiclassical_closed_form(J.N, "statement"))
         assert limit == semiclassical_from_asymptotics(J.basis)
         assert limit == semiclassical_closed_form(J.N, "positive")
 
 
 def test_semiclassical_n9_is_jc_plus_positive(J9):
     limit = semiclassical_limit(J9)
-    assert limit.constant_part() == semiclassical_closed_form(9, "statement").constant_part()
+    assert constant_part(limit) == constant_part(semiclassical_closed_form(9, "statement"))
     assert limit == semiclassical_closed_form(9, "positive")
     assert limit == semiclassical_from_asymptotics(J9.basis)
 
@@ -310,8 +311,8 @@ def test_semiclassical_n9_is_jc_plus_positive(J9):
 def test_semiclassical_n10_is_jc_plus_twisted_statement(J10):
     limit = semiclassical_limit(J10)
     printed = semiclassical_closed_form(10, "statement")
-    assert limit.constant_part() == printed.constant_part()
-    assert dynamical_part(limit) == column_twist(dynamical_part(printed))
+    assert constant_part(limit) == constant_part(printed)
+    assert dynamical_part(limit) == column_twist(10, dynamical_part(printed))
     assert limit == semiclassical_from_asymptotics(J10.basis)
 
 
@@ -337,6 +338,35 @@ def test_semiclassical_limit_rejects_doctored_entry(J3, doctored, message):
         semiclassical_limit(JMatrix(J3.basis, entries, J3.pair_generators))
 
 
+def test_j_structure_report_lists_each_violation(J3):
+    # one record per failed fact, entries in sorted order and, within an
+    # entry, the facts in the order support, hbar, not-in-l
+    o = J3.pyramid.default_order()
+    entries = dict(J3.entries)
+    # in U(l) but not divisible by hbar, below the diagonal
+    entries[((2, 1), (2, 2))] = AlgebraElement.one(o)
+    # neither divisible by hbar nor in U(l)
+    entries[((1, 3), (2, 1))] = AlgebraElement.generator(o, 1, 2)
+    rep = j_structure_report(JMatrix(J3.basis, entries, J3.pair_generators))
+    assert rep["violations"] == [
+        {"row": [1, 3], "col": [2, 1], "why": "hbar"},
+        {"row": [1, 3], "col": [2, 1], "why": "not-in-l"},
+        {"row": [2, 1], "col": [2, 2], "why": "support"},
+        {"row": [2, 1], "col": [2, 2], "why": "hbar"},
+    ]
+    assert not rep["support_upper_triangular"]
+    assert not rep["entries_divisible_by_hbar"]
+    assert not rep["entries_in_l"]
+    assert rep["unipotent_diagonal"] and not rep["ok"]
+    # hbar·E_12 fails the U(l) fact alone
+    entries = dict(J3.entries)
+    entries[((1, 3), (2, 1))] = AlgebraElement.generator(o, 1, 2).times_hbar()
+    rep = j_structure_report(JMatrix(J3.basis, entries, J3.pair_generators))
+    assert rep["violations"] == [{"row": [1, 3], "col": [2, 1], "why": "not-in-l"}]
+    assert rep["support_upper_triangular"] and rep["entries_divisible_by_hbar"]
+    assert not rep["entries_in_l"] and not rep["ok"]
+
+
 def test_fuse_associativity():
     rep3 = fuse_power_J(3, samples=4, seed=1)
     assert rep3["ok"]
@@ -346,23 +376,10 @@ def test_fuse_associativity():
 
 
 def test_semiclassical_poly_render():
-    s = SemiclassicalJ(4)
-    s.add((1, 4), (2, 1), 1, 2, 1)
-    s.add((1, 4), (2, 1), 0, 0, -2)
-    poly = s.entries[((1, 4), (2, 1))]
-    assert SemiclassicalJ.render_poly(poly) == "-2 + x21·x11^2"
-
-
-def test_semiclassical_value_equality():
-    def limit(N, c):
-        s = SemiclassicalJ(N)
-        s.add((1, 4), (2, 1), 1, 2, c)
-        return s
-
-    assert limit(4, 1) == limit(4, 1)
-    assert limit(4, 1) != limit(5, 1)
-    assert limit(4, 1) != limit(4, 2)
-    assert SemiclassicalJ(4).entries is not SemiclassicalJ(4).entries
+    assert render_poly({(1, 2): 1, (0, 0): -2}) == "-2 + x21·x11^2"
+    assert render_poly({(2, 0): -1, (0, 0): 2}) == "2 - x21^2"
+    assert render_poly({(0, 1): 3}) == "3·x11"
+    assert render_poly({}) == "0"
 
 
 def test_n5_printed_signs_refuted_by_gaussian_residual():
@@ -390,7 +407,7 @@ def test_n5_printed_signs_refuted_by_gaussian_residual():
 
     def residual_first_order(semi):
         out = F0
-        for ((a, l), col), poly in semi.entries.items():
+        for ((a, l), col), poly in _by_entry(semi).items():
             if col != (2, 2):
                 continue
             c = poly_to_element(poly)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from walgebra.algebra import AlgebraElement, GeneratorOrder, gen_code, gen_ij
-from walgebra.bk import subregular_w_generators, t_element, truncated_t
+from walgebra.bk import t_element, truncated_t
 from walgebra.modules import (
     ModuleElement,
     is_whittaker,
@@ -27,6 +27,8 @@ from walgebra.whittaker import (
     t12_l_linear_closed_form,
     t22_l_linear_closed_form,
 )
+
+from w_generators import subregular_w_generators
 
 
 def E(order, i, j):
