@@ -27,6 +27,7 @@ from .tensorj import (
     compute_J,
     fuse_power_J,
     j_structure_report,
+    j_to_json,
     semiclassical_from_asymptotics,
     semiclassical_limit,
 )
@@ -271,22 +272,23 @@ J_STRUCTURE_CHECKS = (
 
 
 def j_suite(N: int, compare: bool) -> tuple[list, dict]:
-    J = compute_J(canonical_basis(N))
-    struct = j_structure_report(J)
+    basis = canonical_basis(N)
+    J = compute_J(basis)
+    struct = j_structure_report(N, J)
     jobs = [
         (name, lambda key=name.replace("-", "_"): (struct[key], None))
         for name in J_STRUCTURE_CHECKS
     ]
-    meta = {"N": N, "structure": struct, "J": J.to_json()}
+    meta = {"N": N, "structure": struct, "J": j_to_json(N, J)}
     if compare:
-        cmp = compare_semiclassical(J)
+        cmp = compare_semiclassical(N, J)
         meta["semiclassical"] = cmp
 
         def const_check():
             return cmp["constant_part_equals_jc"], None
 
         def asym_check():
-            same = semiclassical_from_asymptotics(J.basis) == semiclassical_limit(J)
+            same = semiclassical_from_asymptotics(basis) == semiclassical_limit(N, J)
             return same, None
 
         jobs.append(("constant-part-equals-jc", const_check))

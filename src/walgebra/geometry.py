@@ -158,7 +158,7 @@ def jc_recursive(N: int) -> dict:
     if N < 3:
         raise GeometryError("need N >= 3")
     w, nb = wonderbolic_basis(N)
-    index = {v: k for k, v in enumerate(w)}
+    b = set(w[:nb])
     image: dict = {}
 
     def j21(i: int, j: int):
@@ -178,7 +178,7 @@ def jc_recursive(N: int) -> dict:
     jc: dict = {}
     for (i, j) in w[nb:]:
         for bgen, c in j21(i, j).items():
-            if bgen not in index:
+            if bgen not in b:
                 raise GeometryError("recursion left b: %r" % (bgen,))
             add_term(jc, (bgen, (i, j)), c)
     return jc

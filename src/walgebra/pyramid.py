@@ -189,13 +189,6 @@ class Pyramid:
                     out.append((i, j))
         return tuple(sorted(out))
 
-    def nilpotent_e(self) -> AlgebraElement:
-        order = self.default_order()
-        acc = AlgebraElement.zero(order)
-        for i, j in self.e_pairs():
-            acc = acc + AlgebraElement.generator(order, i, j)
-        return acc
-
     def psi(self) -> "CharacterPsi":
         """The character, built once per pyramid."""
         if self._psi is None:
@@ -303,6 +296,3 @@ class CharacterPsi:
             return self.values[(i, j)]
         except KeyError:
             raise PyramidError("psi evaluated outside m at E[%d,%d]" % (i, j)) from None
-
-    def support(self):
-        return tuple(sorted(k for k, v in self.values.items() if v))

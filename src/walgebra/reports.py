@@ -1,11 +1,11 @@
 """Verification reports: structured, deterministic, fixture-friendly.
 
-A report carries the command, ambient data, one record per check
-(name/status/witness/wall time), the engine version and the generator
-order fingerprint.  The comparison payload strips wall times so that
-fixtures compare bit-exactly across runs; the fingerprint invalidates
-fixtures whenever the canonical order changes, since PBW coordinates are
-order-dependent.
+A report is the JSON dict the CLI writes: the command, N, the pyramid,
+the engine version, the generator order fingerprint, one record per
+check (name/status/witness/wall time) and the suite's meta data.  The
+comparison payload strips wall times so that fixtures compare
+bit-exactly across runs; the fingerprint invalidates fixtures whenever
+the canonical order changes, since PBW coordinates are order-dependent.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 import json
 from itertools import repeat
 from json.encoder import encode_basestring as _encode_str
-
-from . import __version__
 
 
 class ReportSchemaError(Exception):
@@ -25,60 +23,34 @@ _REQUIRED = ("command", "N", "pyramid", "engine_version", "order_fingerprint", "
 _CHECK_KEYS = {"name", "status", "witness", "seconds"}
 
 
-class VerificationReport:
-    def __init__(self, command: str, N: int, pyramid: str, checks: list,
-                 order_fingerprint: str, meta: dict | None = None,
-                 engine_version: str = __version__):
-        self.command = command
-        self.N = N
-        self.pyramid = pyramid
-        self.checks = checks
-        self.order_fingerprint = order_fingerprint
-        self.meta = {} if meta is None else meta
-        self.engine_version = engine_version
+def comparison_payload(report: dict) -> dict:
+    """The deterministic slice: everything except wall times."""
+    data = dict(report)
+    data["checks"] = [
+        {k: v for k, v in c.items() if k != "seconds"} for c in report["checks"]
+    ]
+    return data
 
-    def ok(self) -> bool:
-        return all(c["status"] == "pass" for c in self.checks)
 
-    def failed(self) -> list:
-        return [c for c in self.checks if c["status"] != "pass"]
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "N": self.N,
-            "pyramid": self.pyramid,
-            "engine_version": self.engine_version,
-            "order_fingerprint": self.order_fingerprint,
-            "checks": self.checks,
-            "meta": self.meta,
-        }
-
-    def comparison_payload(self) -> dict:
-        """The deterministic slice: everything except wall times."""
-        data = self.to_json()
-        data["checks"] = [
-            {k: v for k, v in c.items() if k != "seconds"} for c in self.checks
-        ]
-        return data
-
-    def render_table(self) -> str:
-        width = max((len(c["name"]) for c in self.checks), default=4)
-        lines = [
-            "%s  N=%d  pyramid=%s  engine=%s  order=%s"
-            % (self.command, self.N, self.pyramid, self.engine_version, self.order_fingerprint)
-        ]
-        for c in self.checks:
-            witness = "" if c["witness"] is None else str(c["witness"])
-            if len(witness) > 72:
-                witness = witness[:69] + "..."
-            lines.append(
-                "  %-*s  %-4s  %8.3fs  %s"
-                % (width, c["name"], c["status"].upper(), c["seconds"], witness)
-            )
-        summary = "all checks passed" if self.ok() else "%d CHECK(S) FAILED" % len(self.failed())
-        lines.append("  -> %s (%d checks)" % (summary, len(self.checks)))
-        return "\n".join(lines)
+def render_table(report: dict) -> str:
+    checks = report["checks"]
+    width = max((len(c["name"]) for c in checks), default=4)
+    lines = [
+        "%(command)s  N=%(N)d  pyramid=%(pyramid)s  engine=%(engine_version)s"
+        "  order=%(order_fingerprint)s" % report
+    ]
+    for c in checks:
+        witness = "" if c["witness"] is None else str(c["witness"])
+        if len(witness) > 72:
+            witness = witness[:69] + "..."
+        lines.append(
+            "  %-*s  %-4s  %8.3fs  %s"
+            % (width, c["name"], c["status"].upper(), c["seconds"], witness)
+        )
+    failed = sum(c["status"] != "pass" for c in checks)
+    summary = "%d CHECK(S) FAILED" % failed if failed else "all checks passed"
+    lines.append("  -> %s (%d checks)" % (summary, len(checks)))
+    return "\n".join(lines)
 
 
 def validate_report_data(data: dict) -> None:
@@ -210,21 +182,13 @@ def write_json(data, *files) -> None:
     flush()
 
 
-def save_fixture(report: VerificationReport, path: str) -> None:
+def save_fixture(report: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        write_json(report.to_json(), fh)
+        write_json(report, fh)
 
 
-def load_fixture(path: str) -> VerificationReport:
+def load_fixture(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     validate_report_data(data)
-    return VerificationReport(
-        command=data["command"],
-        N=data["N"],
-        pyramid=data["pyramid"],
-        checks=[dict(c) for c in data["checks"]],
-        order_fingerprint=data["order_fingerprint"],
-        meta=data.get("meta", {}),
-        engine_version=data["engine_version"],
-    )
+    return data

@@ -9,11 +9,15 @@ removes the obstructions and defines
 
     J(v_i ⊗ v_j ⊗ 1) = v_i ⊗ v_j ⊗ 1 + sum_{a,l} v_a ⊗ v_l ⊗ c_ij^al,
 
-with entries c_ij^al in U_hbar(l).  Every entry is divisible by hbar;
-the first hbar-order, with PBW monomials E_21^p E_11^q read as commuting
-monomials x21^p x11^q, is the semi-classical tensor j.  It is a plain
-term map {(row, col, p, q): c} for c·x21^p·x11^q at the entry
-(row, col), built with add_term like every term map of the package.
+with entries c_ij^al in U_hbar(l).  As a value, J is the term map
+{((a, l), (i, j)): c_ij^al} of its nonzero entries, built with add_term;
+it carries no N, so the functions that read it take (N, J).  Its
+diagonal is the identity exactly when no entry has row == col.
+
+Every entry is divisible by hbar; the first hbar-order, with PBW
+monomials E_21^p E_11^q read as commuting monomials x21^p x11^q, is
+the semi-classical tensor j.  It is a plain term map {(row, col, p, q):
+c} for c·x21^p·x11^q at the entry (row, col), also built with add_term.
 Its constant part must reproduce the wonderbolic tensor j_c, and the
 dynamical part is compared entry by entry against candidate closed
 forms.
@@ -27,9 +31,10 @@ trailing m-factor keeps the leading b-factor.  So fuse(a, y) mod B
 depends only on a mod B; the right operand y must stay full.  A
 canonical v_i is 1 ⊗ v_i mod B_1 and the canonical pair generator g_ij
 is 1 ⊗ v_i ⊗ v_j mod B_2, while the l-constant obstructions never lie in
-B.  The Gaussian loop (whittaker.eliminate_l_constant, as in
-canonicalization) therefore starts from pi(fuse(pi(v_i), v_j)),
-subtracts right_act(1 ⊗ v_a ⊗ v_l, c), and must end at exactly
+B.  So the elimination generators are the unit pairs 1 ⊗ v_a ⊗ v_l, and
+the Gaussian loop (whittaker.eliminate_l_constant, as in
+canonicalization) starts from pi(fuse(pi(v_i), v_j)), subtracts
+right_act(1 ⊗ v_a ⊗ v_l, c), and must end at exactly
 1 ⊗ v_i ⊗ v_j; that one equality replaces the checks "unit leading term"
 and "residual in b·U" of the construction on full representatives,
 which the tests keep as an oracle.  This is the Whittaker analogue of
@@ -56,7 +61,7 @@ row(y), and everything else is higher order.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, add_term, gen_ij
+from .algebra import add_term, gen_ij
 from .geometry import jc_closed_form
 from .modules import ModuleElement, fuse, reduce_mod_b_left
 from .pyramid import Pyramid
@@ -73,75 +78,58 @@ class TensorJError(Exception):
     pass
 
 
-class JMatrix:
-    """Entries c_ij^al of J - id, plus the canonical pair generators
-    modulo b: pair_generators[(i, j)] is pi(g_ij), which equals
-    1 ⊗ v_i ⊗ v_j (see the module docstring)."""
-
-    def __init__(self, basis: WhittakerBasis, entries: dict, pair_generators: dict):
-        self.basis = basis
-        self.entries = entries  # ((a, l), (i, j)) -> AlgebraElement in U(l)
-        # (i, j) -> pi(g_ij) = 1 ⊗ v_i ⊗ v_j, a rank-2 ModuleElement
-        self.pair_generators = pair_generators
-
-    @property
-    def pyramid(self) -> Pyramid:
-        return self.basis.pyramid
-
-    @property
-    def N(self) -> int:
-        return self.basis.N
-
-    def sorted_entries(self):
-        return sorted(self.entries.items())
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "entries": [
-                {"row": list(r), "col": list(c), "value": v.to_json()}
-                for (r, c), v in self.sorted_entries()
-            ],
-        }
-
-
-def compute_J(basis: WhittakerBasis) -> JMatrix:
-    """Gaussian construction of J in the left b-quotient (see the module
-    docstring): F starts as pi(fuse(pi(v_i), v_j)) and ends as
-    1 ⊗ v_i ⊗ v_j exactly.  A right translate right_act(1 ⊗ v_a ⊗ v_l, c)
+def compute_J(basis: WhittakerBasis) -> dict:
+    """The entries {((a, l), (i, j)): c_ij^al} of J - id, by the Gaussian
+    construction in the left b-quotient (see the module docstring): F
+    starts as pi(fuse(pi(v_i), v_j)) and ends as 1 ⊗ v_i ⊗ v_j exactly.
+    The elimination generators are the unit pairs 1 ⊗ v_a ⊗ v_l of the
+    higher columns l > j, so an obstruction that is not upper-triangular
+    raises WhittakerError.  A right translate right_act(1 ⊗ v_a ⊗ v_l, c)
     is not reduced by pi: its U-parts are the monomials of c in U(l), and
-    l meets neither b nor m, so it has no term in B_2.  The elimination
-    gets only the generators of higher columns l > j, so an obstruction
-    that is not upper-triangular raises WhittakerError."""
+    l meets neither b nor m, so it has no term in B_2."""
     if not basis.canonical:
         raise TensorJError("compute_J needs the canonical basis")
     p = basis.pyramid
     N = basis.N
     left = {i: reduce_mod_b_left(basis.vector(i)) for i in range(1, N + 1)}
-    pair_gens: dict = {}
-    entries: dict = {}
+    units = {
+        (i, j): ModuleElement(p, 2, {((), (i, j), 0): 1})
+        for i in range(1, N + 1)
+        for j in range(1, N + 1)
+    }
+    J: dict = {}
     for j in range(N, 0, -1):
-        higher = dict(pair_gens)
+        higher = {k: g for k, g in units.items() if k[1] > j}
         for i in range(N, 0, -1):
             F, subtracted = eliminate_l_constant(
                 reduce_mod_b_left(fuse(left[i], basis.vector(j))), (i, j), higher
             )
-            if F != ModuleElement(p, 2, {((), (i, j), 0): 1}):
+            if F != units[(i, j)]:
                 raise TensorJError(
                     "pair %r is not 1 ⊗ v_i ⊗ v_j modulo b after the Gaussian passes" % ((i, j),)
                 )
-            pair_gens[(i, j)] = F
             for slots, c in subtracted:
-                add_term(entries, (slots, (i, j)), c)
-    return JMatrix(basis, entries, pair_gens)
+                add_term(J, (slots, (i, j)), c)
+    return J
 
 
-def j_structure_report(J: JMatrix) -> dict:
-    """The structural facts about J - id, checked exactly."""
-    p = J.pyramid
-    l_mono = in_l(p)
+def j_to_json(N: int, J: dict) -> dict:
+    """J as JSON: N and the entries in sorted order."""
+    return {
+        "N": N,
+        "entries": [
+            {"row": list(r), "col": list(c), "value": v.to_json()}
+            for (r, c), v in sorted(J.items())
+        ],
+    }
+
+
+def j_structure_report(N: int, J: dict) -> dict:
+    """The structural facts about J - id, checked exactly; the diagonal
+    is the identity when J has no entry with row == col."""
+    l_mono = in_l(Pyramid.subregular(N))
     bad = []
-    for ((a, l), (i, j)), c in J.sorted_entries():
+    for ((a, l), (i, j)), c in sorted(J.items()):
         for why, ok in (
             ("support", a <= i and l > j),
             ("hbar", c.divisible_by_hbar()),
@@ -150,20 +138,15 @@ def j_structure_report(J: JMatrix) -> dict:
             if not ok:
                 bad.append({"row": [a, l], "col": [i, j], "why": why})
     whys = {v["why"] for v in bad}
-    pairs_ok = all(
-        J.pair_generators[(i, j)].coefficient_at((i, j))
-        == AlgebraElement.one(p.default_order())
-        for i in range(1, J.N + 1)
-        for j in range(1, J.N + 1)
-    )
+    diagonal_ok = all(row != col for row, col in J)
     return {
-        "N": J.N,
+        "N": N,
         "support_upper_triangular": "support" not in whys,
         "entries_divisible_by_hbar": "hbar" not in whys,
         "entries_in_l": "not-in-l" not in whys,
-        "unipotent_diagonal": pairs_ok,
+        "unipotent_diagonal": diagonal_ok,
         "violations": bad,
-        "ok": not bad and pairs_ok,
+        "ok": not bad and diagonal_ok,
     }
 
 
@@ -217,11 +200,11 @@ def _l_exponents(mono, l_codes) -> tuple:
     return tuple(exps.values())
 
 
-def semiclassical_limit(J: JMatrix) -> dict:
+def semiclassical_limit(N: int, J: dict) -> dict:
     """(J - id)/hbar at hbar = 0, with E_21^p E_11^q read as x21^p x11^q."""
-    l_codes = J.pyramid.l_codes()
+    l_codes = Pyramid.subregular(N).l_codes()
     out: dict = {}
-    for key, c in J.entries.items():
+    for key, c in J.items():
         if not c.divisible_by_hbar():
             raise TensorJError("entry %r is not divisible by hbar" % (key,))
         for (mono, d), q in c.terms.items():
@@ -293,11 +276,10 @@ def semiclassical_from_asymptotics(basis: WhittakerBasis) -> dict:
     return out
 
 
-def compare_semiclassical(J: JMatrix) -> dict:
+def compare_semiclassical(N: int, J: dict) -> dict:
     """Exact comparison of the computed limit against the candidate closed
     forms; mismatches are reported as data."""
-    N = J.N
-    computed = semiclassical_limit(J)
+    computed = semiclassical_limit(N, J)
     mine = _by_entry(computed)
     report: dict = {"N": N}
     report["constant_part_equals_jc"] = constant_part(computed) == _jc_as_matrix(N)

@@ -184,7 +184,7 @@ def test_criterion_06_wonderbolic_inversion():
 def test_criterion_07_j_structure():
     bad = []
     for N in (3, 4, 5):
-        rep = j_structure_report(compute_J(canonical_basis(N)))
+        rep = j_structure_report(N, compute_J(canonical_basis(N)))
         if not rep["ok"]:
             bad.append((N, rep["violations"][:2]))
     assert _report(7, "J structure N=3..5", not bad, str(bad[:2]) if bad else "unipotent, hbar-divisible, U(l)-valued")
@@ -192,19 +192,19 @@ def test_criterion_07_j_structure():
 
 def test_criterion_08_semiclassical_limit():
     start = time.monotonic()
-    cmp3 = compare_semiclassical(compute_J(canonical_basis(3)))
+    cmp3 = compare_semiclassical(3, compute_J(canonical_basis(3)))
     n3_ok = cmp3["constant_part_equals_jc"] and cmp3["max_x_degree"] == 0
     results = {}
     for N in (4, 5):
         J = compute_J(canonical_basis(N))
-        cmp = compare_semiclassical(J)
+        cmp = compare_semiclassical(N, J)
         printed = semiclassical_closed_form(N, "statement")
         jc = constant_part(printed)
         results[N] = {
             "constant": cmp["constant_part_equals_jc"],
             "matched": cmp["matched_convention"],
             # the printed dynamical families, read on plain E_ij
-            "twisted_match": dynamical_part(semiclassical_limit(J))
+            "twisted_match": dynamical_part(semiclassical_limit(N, J))
             == column_twist(N, dynamical_part(printed)),
             # why the literal printed formula cannot hold in either convention
             "jc_flips": column_twist(N, jc) == negated(jc),

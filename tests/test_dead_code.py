@@ -35,9 +35,7 @@ TEST_ONLY = (
     ("geometry.omega_pairing", "oracle: omega by matrix products, against omega_matrix"),
     ("modules.ModuleElement.from_json", "fixture tool: reads module elements back from JSON"),
     ("modules.transport", "oracle: fuse rebuilt term by term; the benchmark tracer spans it"),
-    ("pyramid.Pyramid.nilpotent_e", "oracle: e as an element, against e_pairs"),
-    ("pyramid.CharacterPsi.support", "oracle: where psi is nonzero, against the pyramid shape"),
-    ("reports.VerificationReport.comparison_payload", "fixture tool: reports compared without wall times"),
+    ("reports.comparison_payload", "fixture tool: reports compared without wall times"),
     ("reports.save_fixture", "fixture tool: writes a report fixture"),
     ("reports.load_fixture", "fixture tool: reads a report fixture"),
     ("whittaker.linear_part_closed_form", "oracle: printed linear parts of the T-elements"),

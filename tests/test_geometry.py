@@ -4,6 +4,7 @@ import pytest
 
 from walgebra import geometry
 from walgebra.geometry import (
+    GeometryError,
     _det_exact,
     jc_closed_form,
     jc_recursive,
@@ -61,6 +62,21 @@ def test_jc_recursive_base_cases():
     jc = jc_recursive(3)
     # j_c columns: j_c^21(E*_31) = E_12, j_c^21(E*_32) = E_22
     assert jc == {((1, 2), (3, 1)): 1, ((2, 2), (3, 2)): 1}
+
+
+def test_jc_recursive_rejects_image_outside_b(monkeypatch):
+    # a basis with one first leg of j_c moved from b to the m side: the
+    # recursion still lands on it, and the guard must see it leave b
+    honest = geometry.wonderbolic_basis
+    moved = min(jc_closed_form(5))[0]
+
+    def doctored(N):
+        w, nb = honest(N)
+        return tuple(v for v in w[:nb] if v != moved) + w[nb:] + (moved,), nb - 1
+
+    monkeypatch.setattr(geometry, "wonderbolic_basis", doctored)
+    with pytest.raises(GeometryError, match="recursion left b"):
+        jc_recursive(5)
 
 
 def test_jc_closed_form_n3_n4():

@@ -41,7 +41,7 @@ def test_subregular_numbering():
 def test_single_block():
     p = Pyramid((1,))
     assert (p.row(1), p.col(1)) == (1, 1)
-    assert p.nilpotent_e().is_zero()
+    assert p.e_pairs() == ()
     assert p.m_basis() == ()
     assert CharacterPsi(p).values == {}
 
@@ -61,21 +61,13 @@ def test_invalid_heights():
 
 
 def test_nilpotent_e_1321():
-    p = Pyramid((1, 3, 2, 1))
-    order = p.default_order()
-    e = p.nilpotent_e()
-    expected = E(order, 3, 5) + E(order, 1, 4) + E(order, 4, 6) + E(order, 6, 7)
-    assert e == expected
+    # e = E_35 + E_14 + E_46 + E_67
+    assert Pyramid((1, 3, 2, 1)).e_pairs() == ((1, 4), (3, 5), (4, 6), (6, 7))
 
 
 def test_nilpotent_e_subregular():
     for N in (3, 4, 6):
-        p = Pyramid.subregular(N)
-        order = p.default_order()
-        expected = AlgebraElement.zero(order)
-        for i in range(2, N):
-            expected = expected + E(order, i, i + 1)
-        assert p.nilpotent_e() == expected
+        assert Pyramid.subregular(N).e_pairs() == tuple((i, i + 1) for i in range(2, N))
 
 
 def test_e_in_degree_one():
@@ -103,7 +95,7 @@ def test_psi_subregular():
     with pytest.raises(PyramidError):
         psi(1, 2)
     for N in range(3, 7):
-        assert len(Pyramid.subregular(N).psi().support()) == N - 2
+        assert sum(1 for v in Pyramid.subregular(N).psi().values.values() if v) == N - 2
 
 
 def test_psi_vanishes_on_m_brackets():
