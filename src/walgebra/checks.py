@@ -4,10 +4,20 @@ A record is {"name", "status" ("pass"/"fail"), "witness", "seconds"};
 the CLI assembles them into reports, and the acceptance suite asserts on
 them.  All pipelines are deterministic for fixed inputs (randomized
 batteries draw from fixed seeds).
+
+start_engine_health runs the engine battery in one forked worker, so
+that selftest overlaps it with the suites on the subregular pyramid: the
+battery builds its own lex and revlex orders and reads nothing they
+build, and a process, unlike a thread, does not wait for the parent's
+GIL.  Those suites share the pyramid's pair cache and canonical basis,
+so they stay in the parent; one moves out only when a benchmark shows
+it winning.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import random
 import time
 
@@ -49,6 +59,55 @@ def _run_checks(jobs):
             ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
         results.append(_record(name, ok, witness, round(time.monotonic() - start, 6)))
     return results
+
+
+def start_engine_health(N: int, cases: int):
+    """Start engine_health(N, cases) in one forked worker; return join(),
+    which reaps the worker and returns the battery's records.
+
+    The worker sends the JSON of [True, records] or, if the battery
+    raised, [False, the exception's text] down a pipe.  It leaves through
+    os._exit on every path, so it never returns into its caller's frames
+    (their finally blocks) and never flushes the stdio buffers it
+    inherited.  join() raises RuntimeError with the worker's exception
+    text, or when the worker exited without a result.  walg starts no
+    threads, so the fork copies a consistent interpreter.  Where os.fork
+    does not exist the battery runs here, inline.
+    """
+    if not hasattr(os, "fork"):
+        records = engine_health(N, cases)
+        return lambda: records
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            try:
+                message = [True, engine_health(N, cases)]
+            except Exception as exc:
+                message = [False, str(exc)]
+            with open(write_fd, "w", encoding="utf-8") as fh:
+                json.dump(message, fh)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+
+    def join():
+        try:
+            with open(read_fd, encoding="utf-8") as fh:
+                data = fh.read()
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise RuntimeError("engine battery worker exited with status %d" % code)
+        ok, value = json.loads(data)
+        if not ok:
+            raise RuntimeError(value)
+        return value
+
+    return join
 
 
 # ----------------------------------------------------------------------

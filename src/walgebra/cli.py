@@ -15,6 +15,12 @@ modules, whittaker, geometry and tensorj, inside their own functions.
 A cold walg process compiles or loads every module it imports, so a
 compute-T never pays for the verification layers.
 
+selftest starts the engine battery in one forked worker
+(checks.start_engine_health), runs the other suites meanwhile, and joins
+the worker after the fusion suite, always, even when a suite raises.
+The battery's records come first, as when it ran first; a battery that
+raised or a worker that died is reported like any raising suite.
+
 Exit codes: 0 on success; 1 on hard verification failure or, under
 compute-J --strict (the one command with that option), on any failed
 check or comparison mismatch; 2 on usage errors, which include input
@@ -147,33 +153,38 @@ def cmd_check_omega(args) -> int:
 
 def cmd_selftest(args) -> int:
     from .checks import (
-        engine_health,
         fusion_suite,
         generator_identity_suite,
         j_suite,
         omega_suite,
         recursion_suite,
+        start_engine_health,
         whittaker_suite,
     )
 
     def suite():
-        checks = []
-        checks += engine_health(min(args.N, 4), cases=args.cases)
-        checks += generator_identity_suite(args.N)
-        wchecks, wmeta = whittaker_suite(args.N, canonical=True)
-        checks += wchecks
-        if args.N >= 4:
-            checks += recursion_suite(args.N)
-        checks += omega_suite(max(args.N, 3))[0]
-        jchecks, jmeta = j_suite(args.N, compare=True) if args.N >= 3 else ([], {})
-        checks += jchecks
-        checks += fusion_suite(args.N) if args.N >= 3 else []
+        # the battery builds its own orders and reads nothing the suites
+        # below build, so it runs in a worker meanwhile; its records come
+        # first, and its error wins over theirs, as when it ran first
+        join = start_engine_health(min(args.N, 4), args.cases)
+        try:
+            checks = generator_identity_suite(args.N)
+            wchecks, wmeta = whittaker_suite(args.N, canonical=True)
+            checks += wchecks
+            if args.N >= 4:
+                checks += recursion_suite(args.N)
+            checks += omega_suite(max(args.N, 3))[0]
+            jchecks, jmeta = j_suite(args.N, compare=True) if args.N >= 3 else ([], {})
+            checks += jchecks
+            checks += fusion_suite(args.N) if args.N >= 3 else []
+        finally:
+            battery = join()
         meta = {"whittaker": wmeta["conventions"]}
         if jmeta:
             meta["semiclassical_convention"] = jmeta.get("semiclassical", {}).get(
                 "matched_convention"
             )
-        return checks, meta
+        return battery + checks, meta
 
     return _verify(args, "selftest", suite)[1]
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -222,6 +223,108 @@ def test_construction_guard(capsys, monkeypatch, argv, suite):
     validate_report_data(data)
     assert data["checks"] == [
         {"name": "construction", "status": "fail", "witness": "broken suite", "seconds": 0.0}
+    ]
+
+
+def _record_forks(monkeypatch):
+    """Wrap os.fork; the returned list gets each worker's pid."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that waits on a worker for a minute, instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError("waited a minute on the engine battery worker")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_reaped(pids):
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_selftest_worker_matches_inline(capsys, monkeypatch, tmp_path, deadline, N):
+    # the battery's records come back from the worker as they are made inline
+    def payload(name):
+        path = tmp_path / name
+        assert run_cli(capsys, "selftest", "--N", str(N), "--out", str(path))[0] == 0
+        return comparison_payload(load_fixture(str(path)))
+
+    pids = _record_forks(monkeypatch)
+    forked = payload("forked.json")
+    _assert_reaped(pids)
+    monkeypatch.delattr(os, "fork")
+    assert payload("inline.json") == forked
+
+
+def test_selftest_dead_worker(capsys, monkeypatch, deadline):
+    # a worker that exits without a result is one failed construction check
+    monkeypatch.setattr(checks, "engine_health", lambda *args: os._exit(3))
+    pids = _record_forks(monkeypatch)
+    code, out = run_cli(capsys, "selftest", "--N", "3", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["checks"] == [
+        {
+            "name": "construction",
+            "status": "fail",
+            "witness": "engine battery worker exited with status 3",
+            "seconds": 0.0,
+        }
+    ]
+    _assert_reaped(pids)
+
+
+def test_selftest_worker_reaped_when_a_parent_suite_raises(capsys, monkeypatch, deadline):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken suite")
+
+    monkeypatch.setattr(checks, "whittaker_suite", broken)
+    pids = _record_forks(monkeypatch)
+    code, out = run_cli(capsys, "selftest", "--N", "3", "--format", "json")
+    assert code == 1
+    assert [c["witness"] for c in json.loads(out)["checks"]] == ["broken suite"]
+    _assert_reaped(pids)
+
+
+def test_selftest_cold_process_output():
+    # the worker leaves through os._exit, so it writes none of the parent's
+    # stdout and the report is printed once
+    src = os.path.dirname(os.path.dirname(os.path.abspath(walgebra.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WALG, "selftest", "--N", "3", "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    data = json.loads(proc.stdout)
+    assert proc.stdout == json.dumps(data, indent=1, sort_keys=True, ensure_ascii=False) + "\n"
+    assert [c["name"] for c in data["checks"][:4]] == [
+        "pbw-associativity",
+        "jacobi",
+        "commutator-hbar-divisibility",
+        "order-change-consistency",
     ]
 
 
