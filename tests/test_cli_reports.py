@@ -527,6 +527,15 @@ REPORT_DIGESTS = {
     ("check-omega", "--N", "8"): "d74b87c413ef3a45d910eb8b40cea5255cd56c1de99f67cb587977c690aa8dfe",
     # the literal N=5 mismatch data of the semi-classical comparison
     ("compute-J", "--N", "5", "--compare"): "6a60904e581fbde4d70445f5cca59c0cf0cd26a767168940e3473dffb9c730fb",
+    # meta.vectors holds each invariant vector as render_module text
+    ("verify-whittaker", "--N", "3"): "64c438e1c2828820e597cc277953c4a78239d5991cc8c11be180be4daec153e3",
+    ("verify-whittaker", "--N", "3", "--canonical"): "706e368fc6b58f22f85a41bd0780a4228e154fe064820480119c9ba18a251051",
+    ("verify-whittaker", "--N", "4"): "643fb5fb35e09b34a1daed141e87da63750992c27c912d8fa9ab11b157d26573",
+    ("verify-whittaker", "--N", "4", "--canonical"): "d77165bc77edb9c746757dabec85d62725d6e35714e651068e0936a3a25761f1",
+    ("verify-whittaker", "--N", "5"): "1f2d05ad401058db14d324755f43bb2a24f0718783727f838385db802eb5d10a",
+    ("verify-whittaker", "--N", "5", "--canonical"): "9157791972585188db14ea8eef686ee3c7d690896b319211d7a66f82b79488a0",
+    ("verify-whittaker", "--N", "6"): "ad8e78a540c13fc749ae1af28b02505e3bfbae0e4f010cec53f8441b1de2189e",
+    ("verify-whittaker", "--N", "6", "--canonical"): "1bda409edc734b5d56c85c865567aec57618b09bc78a74f5e956687e5c87ca3e",
 }
 
 

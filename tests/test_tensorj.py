@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -405,6 +406,13 @@ def test_semiclassical_poly_render():
     assert render_poly({(2, 0): -1, (0, 0): 2}) == "2 - x21^2"
     assert render_poly({(0, 1): 3}) == "3·x11"
     assert render_poly({}) == "0"
+    # every branch of the term rule: a bare -1, a rational coefficient, a
+    # -1 written as a sign, a coefficient 1 left out, a leading negative
+    mixed = {(1, 0): -1, (0, 1): Fraction(1, 2), (0, 0): -1, (2, 1): 1}
+    assert render_poly(mixed) == "-1 + 1/2·x11 - x21 + x21^2·x11"
+    assert render_poly({(1, 0): -1}) == "-x21"
+    assert render_poly({(0, 0): -1}) == "-1"
+    assert render_poly({(2, 1): 1, (0, 1): Fraction(-1, 2)}) == "-1/2·x11 + x21^2·x11"
 
 
 def test_n5_printed_signs_refuted_by_gaussian_residual(bases, J5):
