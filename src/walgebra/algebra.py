@@ -46,7 +46,7 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 
-from .hbar import HbarPoly, _exact
+from .hbar import _exact
 
 NORMAL_ORDER_STEP_BUDGET = 10_000_000
 
@@ -235,11 +235,11 @@ class TermMap:
     (monomial, slots, d).  A coefficient is an int where it is integral
     and a Fraction otherwise (see hbar._exact), so equal elements have
     equal term maps; any other value raises TypeError.  Scalars are
-    rationals; a polynomial in hbar is an edge type only: it leaves
-    through sorted_terms (rendering) and enters through from_terms and
-    the from_json readers.  JSON leaves through _json_terms, which
-    writes the bare rationals as "p/q" strings; both share _grouped's
-    grouping and order.
+    rationals, and coefficients cross every edge bare: _json_terms
+    writes them as "p/q" strings and the from_json readers read those
+    back through _exact; rendering (render.py) reads the {d: c} of each
+    key from _grouped, in the order _json_terms writes.  No polynomial
+    object (hbar.HbarPoly) is built on any of these paths.
 
     A subclass supplies _check_compatible(other), which raises on mixed
     ambient data, _with(terms), which builds an element with the same
@@ -314,13 +314,6 @@ class TermMap:
         }
         return sorted(by_key.items(), key=lambda item: (item[0][1:], mono_keys[item[0][0]]))
 
-    def sorted_terms(self):
-        """[(key, HbarPoly)] in the order of _grouped: the rendering form."""
-        return [
-            (key, HbarPoly([by_d.get(d, 0) for d in range(max(by_d) + 1)]))
-            for key, by_d in self._grouped()
-        ]
-
     def _json_terms(self) -> list:
         """The "terms" list of to_json, in the order of _grouped: per key
         its "mono" as [i, j, exponent] triples, its "slots" where the key
@@ -371,12 +364,6 @@ class AlgebraElement(TermMap):
     @classmethod
     def generator(cls, order, i: int, j: int) -> "AlgebraElement":
         return cls(order, {(((gen_code(order.N, i, j), 1),), 0): 1})
-
-    @classmethod
-    def from_terms(cls, order, raw: dict) -> "AlgebraElement":
-        """From {monomial: HbarPoly}."""
-        terms = {(m, d): c for m, poly in raw.items() for d, c in enumerate(poly.coeffs) if c}
-        return cls(order, terms)
 
     # ------------------------------------------------------------------
     # structure
@@ -473,8 +460,11 @@ class AlgebraElement(TermMap):
         terms = {}
         for t in data["terms"]:
             mono = tuple((gen_code(order.N, i, j), e) for i, j, e in t["mono"])
-            terms[mono] = HbarPoly(t["coeff"])
-        return cls.from_terms(order, terms)
+            for d, s in enumerate(t["coeff"]):
+                c = _exact(s)
+                if c:
+                    terms[(mono, d)] = c
+        return cls(order, terms)
 
     def __repr__(self):
         from .render import render_algebra

@@ -63,14 +63,13 @@ def _verify(args, command: str, suite, hard=None):
     "construction" check if suite raises.  Returns (report, exit code):
     1 when construction or a check named in hard (every check when hard
     is None) fails; else 0."""
+    from .checks import _record
+
     p = Pyramid.subregular(args.N)
     try:
         checks, meta = suite()
     except Exception as exc:
-        checks = [
-            {"name": "construction", "status": "fail", "witness": str(exc), "seconds": 0.0}
-        ]
-        meta = {}
+        checks, meta = [_record("construction", False, str(exc), 0.0)], {}
     report = {
         "command": command,
         "N": args.N,

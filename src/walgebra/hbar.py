@@ -6,14 +6,14 @@ coefficient an int where it is integral and a Fraction otherwise, so
 equality of values is equality of representations.  There is no floating
 point anywhere in this package.
 
-HbarPoly is the rendering form of a coefficient, not the engine's
-arithmetic: element terms hold one bare rational per hbar-degree
-(algebra.TermMap).  A polynomial enters a term map only through
-AlgebraElement.from_terms and the two from_json readers, and leaves one
-only through TermMap.sorted_terms, for rendering; to_json writes the bare
-rationals as "p/q" strings without building one.  The ring operations +, *,
-scale and shift have no caller in the package; the benchmark's tracer
-(perfbench/tracer.py) binds each of them by name, so they stay until it
+HbarPoly is neither the engine's arithmetic nor an edge form of a
+coefficient: element terms hold one bare rational per hbar-degree
+(algebra.TermMap), to_json writes those as "p/q" strings, the from_json
+readers read them back through _exact, and render.py writes them as text
+straight from the term map.  Apart from the package re-export, only
+algebra imports from here, and only _exact.  HbarPoly stays for that
+re-export and for the benchmark's tracer (perfbench/tracer.py), which binds its constructor and its ring
+operations +, *, scale and shift by name; it can go once the tracer
 counts the bare term coefficients instead.
 """
 
@@ -88,28 +88,6 @@ class HbarPoly:
 
     def __repr__(self):
         return "HbarPoly(%r)" % (self.coeffs,)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for d, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if d == 0:
-                parts.append(str(c))
-            else:
-                h = "ℏ" if d == 1 else "ℏ^%d" % d
-                if c == 1:
-                    parts.append(h)
-                elif c == -1:
-                    parts.append("-" + h)
-                else:
-                    parts.append("%s·%s" % (c, h))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
 
 
 ZERO = HbarPoly()

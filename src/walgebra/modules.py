@@ -7,10 +7,10 @@ term c * hbar^d * monomial ⊗ v_slots, in the term format of
 algebra.TermMap.  The slot tuple lists basis indices of the t tensor
 factors.  An AlgebraElement's terms {(monomial, d): c} are the same
 format without the slots, so embed, by_slots and coefficient_at move
-terms between the two as they are.  Coefficients leave as they are
-stored: to_json writes them through the one term formatter
-(TermMap._json_terms) and rendering gathers them into polynomials in
-hbar (TermMap.sorted_terms); from_json reads them through
+terms between the two as they are.  Coefficients cross every edge as
+they are stored, never as hbar.HbarPoly: to_json writes them through the
+one term formatter (TermMap._json_terms), rendering reads them from
+TermMap._grouped, and from_json reads them through
 AlgebraElement.from_json.
 
 The generator order is the pyramid's default_order(), never passed in: one

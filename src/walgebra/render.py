@@ -1,25 +1,47 @@
 """Human-readable rendering of algebra and module elements.
 
 Output uses the working notation: matrix units as E[i,j], the
-deformation parameter as ℏ, tensor slots as v1..vN.
+deformation parameter as ℏ, tensor slots as v1..vN.  Coefficients are
+read as the bare {hbar-degree: rational} of TermMap._grouped, in the
+order to_json writes them; hbar.HbarPoly, kept only for the package
+re-export and the benchmark's tracer, is not the rendering form.  Every
+text here and in tensorj's semi-classical diffs is a signed sum, written
+by one rule: term and signed_sum.
 """
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, gen_ij
-from .hbar import HbarPoly
+from .algebra import gen_ij
 
 
-def render_poly(p: HbarPoly) -> str:
-    s = str(p)
-    if " + " in s or " - " in s:
-        return "(%s)" % s
-    return s
+def term(coeff: str, mono: str) -> str:
+    """coeff·mono, a coefficient 1 or -1 written as a bare sign and an
+    empty mono (the unit) as the coefficient alone."""
+    if not mono:
+        return coeff
+    if coeff == "1":
+        return mono
+    if coeff == "-1":
+        return "-" + mono
+    return "%s·%s" % (coeff, mono)
+
+
+def signed_sum(terms) -> str:
+    """The terms joined by " + ", a negative one by " - "; "0" when empty."""
+    return " + ".join(terms).replace("+ -", "- ") or "0"
+
+
+def _coeff(by_d: dict) -> str:
+    """{d: c} as a polynomial in ℏ, in parentheses when it has two terms
+    or more."""
+    s = signed_sum(
+        term(str(c), "" if not d else "ℏ" if d == 1 else "ℏ^%d" % d)
+        for d, c in sorted(by_d.items())
+    )
+    return "(%s)" % s if len(by_d) > 1 else s
 
 
 def render_mono(N: int, mono) -> str:
-    if not mono:
-        return "1"
     parts = []
     for g, e in mono:
         i, j = gen_ij(N, g)
@@ -27,32 +49,14 @@ def render_mono(N: int, mono) -> str:
     return "·".join(parts)
 
 
-def render_algebra(el: AlgebraElement) -> str:
-    if el.is_zero():
-        return "0"
-    parts = []
-    for (m,), c in el.sorted_terms():
-        cs = render_poly(c)
-        ms = render_mono(el.N, m)
-        if ms == "1":
-            parts.append(cs)
-        elif cs == "1":
-            parts.append(ms)
-        elif cs == "-1":
-            parts.append("-" + ms)
-        else:
-            parts.append("%s·%s" % (cs, ms))
-    return " + ".join(parts).replace("+ -", "- ")
+def render_algebra(el) -> str:
+    return signed_sum(term(_coeff(by_d), render_mono(el.N, m)) for (m,), by_d in el._grouped())
 
 
 def render_module(el) -> str:
-    if el.is_zero():
-        return "0"
-    parts = []
-    for (m, slots), c in el.sorted_terms():
-        cs = render_poly(c)
-        ms = render_mono(el.N, m)
-        head = ms if cs == "1" else ("-" + ms if cs == "-1" else "%s·%s" % (cs, ms))
-        tail = "⊗".join("v%d" % k for k in slots)
-        parts.append(head + ("⊗" + tail if tail else ""))
-    return " + ".join(parts).replace("+ -", "- ")
+    # the unit monomial is written as 1, so a rank-0 term reads ℏ·1
+    return signed_sum(
+        term(_coeff(by_d), render_mono(el.N, m) or "1")
+        + "".join("⊗v%d" % k for k in slots)
+        for (m, slots), by_d in el._grouped()
+    )

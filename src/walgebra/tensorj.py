@@ -65,6 +65,7 @@ from .algebra import add_term, gen_ij
 from .geometry import jc_closed_form
 from .modules import ModuleElement, fuse, reduce_mod_b_left
 from .pyramid import Pyramid
+from .render import signed_sum, term
 from .whittaker import (
     WhittakerBasis,
     asymptotic_parts,
@@ -168,25 +169,11 @@ def _by_entry(s: dict) -> dict:
 
 def render_poly(poly: dict) -> str:
     """{(p, q): c} as text in x21 and x11."""
-    if not poly:
-        return "0"
     parts = []
-    for (pq, c) in sorted(poly.items()):
-        mono = []
-        if pq[0]:
-            mono.append("x21" + ("^%d" % pq[0] if pq[0] > 1 else ""))
-        if pq[1]:
-            mono.append("x11" + ("^%d" % pq[1] if pq[1] > 1 else ""))
-        ms = "·".join(mono) if mono else "1"
-        if c == 1 and mono:
-            parts.append(ms)
-        elif c == -1 and mono:
-            parts.append("-" + ms)
-        elif not mono:
-            parts.append(str(c))
-        else:
-            parts.append("%s·%s" % (c, ms))
-    return " + ".join(parts).replace("+ -", "- ")
+    for pq, c in sorted(poly.items()):
+        mono = [x + ("^%d" % e if e > 1 else "") for x, e in zip(("x21", "x11"), pq) if e]
+        parts.append(term(str(c), "·".join(mono)))
+    return signed_sum(parts)
 
 
 def _l_exponents(mono, l_codes) -> tuple:

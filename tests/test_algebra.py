@@ -15,6 +15,8 @@ from walgebra.algebra import (
 from walgebra.hbar import HbarPoly
 from walgebra.pyramid import Pyramid
 
+from hbar_terms import from_terms
+
 
 def E(order, i, j):
     return AlgebraElement.generator(order, i, j)
@@ -44,7 +46,7 @@ def random_element(order, rng, n_terms=2, max_len=2, max_exp=2):
             coeff = HbarPoly((1,))
         mono = tuple(mono)
         terms[mono] = terms.get(mono, HbarPoly()) + coeff
-    return AlgebraElement.from_terms(order, terms)
+    return from_terms(order, terms)
 
 
 def test_gen_codes_round_trip():
@@ -206,7 +208,7 @@ def test_scale_and_purge(lex4):
         assert whole == a
         assert type(whole.terms[key]) is int
     # cancelling terms drop their key, one hbar-degree at a time
-    one_plus_hbar = AlgebraElement.from_terms(lex4, {(): HbarPoly((1, 1))})
+    one_plus_hbar = from_terms(lex4, {(): HbarPoly((1, 1))})
     assert (one_plus_hbar * a - a).terms == {(((gen_code(4, 1, 2), 1),), 1): 1}
 
 

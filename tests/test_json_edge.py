@@ -1,6 +1,6 @@
 """The JSON edge: reports.write_json against json's own indent-1 text, and
 the term formatter behind both to_json methods against a rebuild from
-sorted_terms and HbarPoly."""
+the bare term map."""
 
 import io
 import json
@@ -164,18 +164,24 @@ def test_emit_encodes_once_for_out_and_stdout(capsys, monkeypatch, tmp_path):
 # the term formatter
 # ----------------------------------------------------------------------
 def _json_rebuilt(el) -> list:
-    """to_json's "terms" rebuilt from sorted_terms and HbarPoly."""
+    """to_json's "terms" rebuilt from el.terms, without _grouped: one term
+    per key less its degree, a "p/q" at every degree up to the largest,
+    in the documented order (_order_key)."""
     N = el.N
+    by_key = {}
+    for k, c in el.terms.items():
+        by_key.setdefault(k[:-1], {})[k[-1]] = Fraction(c)
     terms = []
-    for key, poly in el.sorted_terms():
+    for key, by_d in by_key.items():
+        coeff = [by_d.get(d, Fraction(0)) for d in range(max(by_d) + 1)]
         term = {
             "mono": [[*gen_ij(N, g), e] for g, e in key[0]],
-            "coeff": ["%d/%d" % (Fraction(c).numerator, Fraction(c).denominator) for c in poly.coeffs],
+            "coeff": ["%d/%d" % (c.numerator, c.denominator) for c in coeff],
         }
         if len(key) > 1:
             term["slots"] = list(key[1])
         terms.append(term)
-    return terms
+    return sorted(terms, key=_order_key)
 
 
 P3 = Pyramid.subregular(3)

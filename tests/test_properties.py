@@ -5,10 +5,12 @@ from fractions import Fraction
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from walgebra.algebra import AlgebraElement, normal_order_word
+from walgebra.algebra import normal_order_word
 from walgebra.hbar import HbarPoly
 from walgebra.modules import ModuleElement, fuse, reduce_mod_m_psi
 from walgebra.pyramid import Pyramid
+
+from hbar_terms import from_terms
 
 ORDER3 = Pyramid.subregular(3).default_order()
 
@@ -37,7 +39,7 @@ def algebra_elements(draw, order=ORDER3, max_terms=2, max_len=2):
         coeff = draw(hbar_polys)
         mono = tuple(mono)
         terms[mono] = terms.get(mono, HbarPoly()) + coeff
-    return AlgebraElement.from_terms(order, terms)
+    return from_terms(order, terms)
 
 
 @given(hbar_polys, hbar_polys, hbar_polys)

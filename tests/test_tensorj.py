@@ -39,6 +39,7 @@ from walgebra.whittaker import (
     in_l,
 )
 
+from hbar_terms import from_terms
 from twist import column_twist, dynamical_part, negated
 
 
@@ -436,7 +437,7 @@ def test_n5_printed_signs_refuted_by_gaussian_residual(bases, J5):
             if p11:
                 mono.append((e11, p11))
             terms[tuple(mono)] = HbarPoly((0, q))
-        return AlgebraElement.from_terms(o, terms)
+        return from_terms(o, terms)
 
     def residual_first_order(semi):
         out = F0
