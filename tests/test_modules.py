@@ -13,8 +13,6 @@ from walgebra.algebra import (
 )
 from walgebra import modules
 from walgebra.hbar import HbarPoly
-
-from hbar_terms import from_terms
 from walgebra.modules import (
     ModuleElement,
     ReductionError,
@@ -31,6 +29,8 @@ from walgebra.modules import (
 )
 from walgebra.pyramid import Pyramid
 from walgebra.whittaker import build_basis, canonical_basis
+
+from hbar_terms import from_terms
 
 
 def E(order, i, j):

@@ -34,11 +34,6 @@ def test_compute_t_table_digests(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == COMPUTE_T_DIGESTS[args]
 
 
-def test_scalar_t0_text(capsys):
-    assert main(["compute-T", "--pyramid", "subreg:5", "--i", "2", "--j", "2", "--x", "2", "--r", "0"]) == 0
-    assert capsys.readouterr().out == "T(2,2;2)^(0) = -1\n"
-
-
 def test_algebra_edge_cases():
     o = Pyramid.subregular(4).default_order()
     assert render_algebra(AlgebraElement.zero(o)) == "0"
