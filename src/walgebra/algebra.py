@@ -457,9 +457,11 @@ class AlgebraElement(TermMap):
     def from_json(cls, data: dict, order: GeneratorOrder) -> "AlgebraElement":
         if data["N"] != order.N:
             raise AlgebraError("JSON element has N=%d, order has N=%d" % (data["N"], order.N))
+        monos = [tuple((gen_code(order.N, i, j), e) for i, j, e in t["mono"]) for t in data["terms"]]
+        if len(set(monos)) != len(monos):
+            raise AlgebraError("JSON element lists a monomial twice")
         terms = {}
-        for t in data["terms"]:
-            mono = tuple((gen_code(order.N, i, j), e) for i, j, e in t["mono"])
+        for mono, t in zip(monos, data["terms"]):
             for d, s in enumerate(t["coeff"]):
                 c = _exact(s)
                 if c:

@@ -26,6 +26,16 @@ monomial containing one has one in final position, and peeling it
 strictly decreases the m-factor count: the rewrite terminates and the
 reduced form carries no m-generators at all.
 
+The contract: reduced means no m-letter, i.e. an element of
+U(p) ⊗ (C^N)^{⊗t}, where p, the generators of nonnegative degree, is a
+subalgebra.  By PBW with m last, multiplication U(p) ⊗ U(m) -> U is
+bijective, so every class has exactly one such representative, and two
+elements of U(p) ⊗ V are equal in the quotient exactly when they are
+equal.  Under the m-last order a monomial with an m-letter ends in one,
+so the trailing-letter test (_require_reduced) is the whole test.
+Products within p stay in U(p), so reduce_mod_m_psi runs only where an
+m-letter can appear: after act_left, the one product by an m-generator.
+
 Left multiplication commutes with the right action; act_left is the one
 left-product path.  By the rewrite above, ad of an m-generator on a
 reduced element is the left action less the character:
@@ -37,8 +47,11 @@ monomial lies in b·U exactly when its leftmost factor is in b.
 
 Fusion concatenates two reduced elements: every U-factor of the right
 element is transported through the left element's slots generator by
-generator (in the right factor's own PBW order, left to right), the slot
-tuples are concatenated, and the result is reduced again.  Within one
+generator (in the right factor's own PBW order, left to right), and the
+slot tuples are concatenated.  The result stays reduced: the right
+operand is reduced, so each transported generator g lies in p; u·g for
+u in U(p) normal-orders inside U(p), since [p, p] ⊂ p; and the slot term
+u ⊗ (g.v) leaves u as it is.  Within one
 fusion the right words are visited in sorted order, depth first: the
 left element right-acted by each prefix of the current word is kept on
 a path, and a word starts from the prefix it shares with the word
@@ -92,7 +105,9 @@ class ModuleElement(TermMap):
 
     @classmethod
     def embed(cls, el: AlgebraElement, pyramid: Pyramid, slots=()) -> "ModuleElement":
-        """u -> u ⊗ v_slots, unreduced; u must use the pyramid's order."""
+        """u -> u ⊗ v_slots; u must use the pyramid's order.  The result
+        is reduced exactly when u ∈ U(p), i.e. no monomial has an
+        m-generator; otherwise reduce_mod_m_psi gives its class."""
         if el.order != pyramid.default_order():
             raise AlgebraError("%r is not the order of %r" % (el.order, pyramid))
         slots = tuple(slots)
@@ -150,6 +165,8 @@ class ModuleElement(TermMap):
             raise AlgebraError("JSON rank mismatch")
         by_slots: dict = {}
         for t in data["terms"]:
+            if len(t["slots"]) != data["t"]:
+                raise AlgebraError("JSON term has slots %r, rank is %d" % (t["slots"], data["t"]))
             by_slots.setdefault(tuple(t["slots"]), []).append(t)
         terms = {}
         for s, ts in by_slots.items():
@@ -204,6 +221,16 @@ def reduce_mod_m_psi(raw: ModuleElement) -> ModuleElement:
     return ModuleElement(p, raw.t, done)
 
 
+def _require_reduced(caller: str, *elements: ModuleElement) -> None:
+    """Raise ReductionError when a monomial of an element ends in an
+    m-generator; under the m-last order that is every monomial with an
+    m-letter."""
+    for m in elements:
+        for mono, _, _ in m.terms:
+            if mono and mono[-1][0] in m.pyramid.m_codes():
+                raise ReductionError("%s needs a reduced element; %r ends in m" % (caller, mono))
+
+
 def _add_product(out: dict, order, ma, mb, slots, d: int, c) -> None:
     """out += c * hbar^d * (ma·mb) ⊗ v_slots, ma·mb from the pair cache
     (for act_left and right_mul_gen)."""
@@ -230,9 +257,7 @@ def ad_action(xi_ij, m: ModuleElement) -> ModuleElement:
     p = m.pyramid
     if not p.in_m(i, j):
         raise AlgebraError("ad is defined here for m-generators only; E[%d,%d] is not in m" % (i, j))
-    for mono, _, _ in m.terms:
-        if mono and mono[-1][0] in p.m_codes():
-            raise ReductionError("ad_action needs a reduced element; %r ends in m" % (mono,))
+    _require_reduced("ad_action", m)
     xi = AlgebraElement.generator(m.order, i, j)
     return (act_left(xi, m) - m.scale(p.psi()(i, j))).times_hbar(-1)
 
@@ -306,12 +331,13 @@ def fuse(a: ModuleElement, b: ModuleElement) -> ModuleElement:
     The right terms are visited sorted by U-word, depth first: path
     holds a right-acted by each prefix of the current word, so a word
     starts from the prefix it shares with the one before, and only one
-    path is held at a time.  Slot tuples concatenate; the total is
-    reduced once at the end.
+    path is held at a time.  Slot tuples concatenate.  Both operands
+    must be reduced (ReductionError otherwise), and then so is the
+    result, with no reduction pass: see the module docstring.
     """
     if a.pyramid != b.pyramid:
         raise AlgebraError("fuse needs a common pyramid")
-    p = a.pyramid
+    _require_reduced("fuse", a, b)
     out: dict = {}
     path = [a]  # path[k]: a right-acted by word[:k]
     word = ()
@@ -327,9 +353,10 @@ def fuse(a: ModuleElement, b: ModuleElement) -> ModuleElement:
         word = w
         for (um, uslots, ud), uc in path[-1].terms.items():
             add_term(out, (um, uslots + yslots, ud + yd), uc * yc)
-    return reduce_mod_m_psi(ModuleElement(p, a.t + b.t, out))
+    return ModuleElement(a.pyramid, a.t + b.t, out)
 
 
 def right_act(m: ModuleElement, c: AlgebraElement) -> ModuleElement:
-    """Right action of an algebra element: fusion with a rank-zero factor."""
+    """Right action of an algebra element: fusion with a rank-zero factor,
+    so c must lie in U(p)."""
     return fuse(m, ModuleElement.embed(c, m.pyramid, ()))

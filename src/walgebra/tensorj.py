@@ -26,9 +26,9 @@ J is computed in the left b-quotient.  Let B_t = b·U ⊗ V^{⊗t}, the span
 of the terms whose monomial starts with a b-generator, and pi the
 deletion of those terms (modules.reduce_mod_b_left).  B_t is stable
 under right_mul_gen, since b·U is a right ideal and the b-generators
-rank first, and under reduce_mod_m_psi, since b ∩ m = ∅ and peeling a
-trailing m-factor keeps the leading b-factor.  So fuse(a, y) mod B
-depends only on a mod B; the right operand y must stay full.  A
+rank first, and fuse is nothing but right_mul_gen steps: its result
+stays in U(p) ⊗ V and is never reduced.  So fuse(a, y) mod B depends
+only on a mod B; the right operand y must stay full.  A
 canonical v_i is 1 ⊗ v_i mod B_1 and the canonical pair generator g_ij
 is 1 ⊗ v_i ⊗ v_j mod B_2, while the l-constant obstructions never lie in
 B.  So the elimination generators are the unit pairs 1 ⊗ v_a ⊗ v_l, and

@@ -7,7 +7,10 @@ Every vector is built from one formula in the truncated T-elements,
 with (a, s) = (2, j) when N-j >= 2 and (a, s) = (1, j-1) for vtilde_1.
 The printed sources disagree by one on the [12;1] superscript; the other
 reading, N-i-1 instead of N-i-2, fails invariance (a test pins this).
-build_basis returns the raw vectors ungated.  canonicalize gates each
+The vectors need no reduction: every T-element, truncated ones included,
+is a sum of products of Etilde_{i_k j_k} with col(i_k) <= col(j_k), so
+it lies in U(p), and u ⊗ v with u in U(p) is already the reduced
+representative (modules).  build_basis returns the raw vectors ungated.  canonicalize gates each
 canonical vector, raising with N, the leading slot and the offending
 m-generator; that one gate decides the raw vector too, since a raw vector
 is its canonical form plus right translates of higher canonical vectors,
@@ -40,7 +43,6 @@ from .modules import (
     ModuleElement,
     b_reduction_is_zero,
     is_whittaker,
-    reduce_mod_m_psi,
     right_act,
 )
 from .pyramid import Pyramid
@@ -162,7 +164,7 @@ def _tilde_v(N: int, j: int) -> ModuleElement:
         t = truncated_t(p, i + 1, a, 2, 1, s - i)
         sign = -1 if (s - i) % 2 else 1
         vec = vec + ModuleElement.embed(t, p, (N - i,)).scale(sign)
-    return reduce_mod_m_psi(vec)
+    return vec
 
 
 class WhittakerBasis:

@@ -423,17 +423,21 @@ GOLDEN_INPUTS = (
     ("t-generators", "T|subreg:7|k0|i1|j2|x1|r5"),
     # a truncated input, whose label carries the "[k=1]" prefix
     ("t-generators", "T|subreg:7|k1|i1|j2|x1|r5"),
+    # the cheapest golden triple: canonical_basis(6).vector and fuse
+    ("triple-fusion", "F|N6|6,3,6"),
 )
 
 
 @pytest.mark.parametrize("workload, key", GOLDEN_INPUTS, ids=[k for _, k in GOLDEN_INPUTS])
-def test_benchmark_golden_digests(workload, key):
-    # one cold walg run per input, checked as the benchmark checks it, so a
-    # byte change in a report or a compute-T payload fails here first
+def test_benchmark_golden_digests(workload, key, tmp_path):
+    # one cold benchmark child per input, checked as the benchmark checks
+    # it, so a byte change in a report, a compute-T payload or a fused
+    # triple fails here first
     menus, ops = _perfbench_modules()
     argv = dict(menus.candidates(workload))[key]
+    child = os.path.join(PERFBENCH, "child.py")
     proc = subprocess.run(
-        [sys.executable, "-c", _WALG, *argv],
+        [sys.executable, child, str(tmp_path / "meta.json"), "0", "0", "--", *argv],
         capture_output=True,
         env=ops.child_env(),
         timeout=120,

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from walgebra import cli
-from walgebra.algebra import AlgebraElement, gen_code, gen_ij
+from walgebra.algebra import AlgebraElement, AlgebraError, gen_code, gen_ij
 from walgebra.modules import ModuleElement
 from walgebra.pyramid import Pyramid
 from walgebra.reports import write_json
@@ -238,3 +238,25 @@ def test_degree_gap_fills_zeros():
     el = AlgebraElement(ORDER, ALGEBRA["degree-gap"])
     assert el.to_json()["terms"] == [{"mono": [[2, 1, 1]], "coeff": ["0/1", "0/1", "5/6"]}]
     assert AlgebraElement.zero(ORDER).to_json() == {"N": 3, "terms": []}
+
+
+def test_from_json_rejects_a_repeated_monomial():
+    # to_json writes each key once; a second entry for a key is corrupt
+    # input, neither summed nor overwritten
+    twice = [{"mono": [], "coeff": ["1/1"]}, {"mono": [], "coeff": ["2/1"]}]
+    with pytest.raises(AlgebraError, match="twice"):
+        AlgebraElement.from_json({"N": 3, "terms": twice}, ORDER)
+    slotted = [dict(t, slots=[1, 2]) for t in twice]
+    with pytest.raises(AlgebraError, match="twice"):
+        ModuleElement.from_json({"N": 3, "t": 2, "terms": slotted}, P3)
+    # one monomial at two slot tuples is two keys
+    apart = [dict(twice[0], slots=[1, 2]), dict(twice[1], slots=[2, 1])]
+    back = ModuleElement.from_json({"N": 3, "t": 2, "terms": apart}, P3)
+    assert back == ModuleElement(P3, 2, {((), (1, 2), 0): 1, ((), (2, 1), 0): 2})
+
+
+@pytest.mark.parametrize("slots", [[1], [1, 2, 3], []])
+def test_module_from_json_rejects_slots_of_another_rank(slots):
+    data = {"N": 3, "t": 2, "terms": [{"mono": [], "slots": slots, "coeff": ["1/1"]}]}
+    with pytest.raises(AlgebraError, match="rank is 2"):
+        ModuleElement.from_json(data, P3)

@@ -28,6 +28,7 @@ from walgebra.modules import (
     transport,
 )
 from walgebra.pyramid import Pyramid
+from walgebra.tensorj import fuse_power_J
 from walgebra.whittaker import build_basis, canonical_basis
 
 from hbar_terms import from_terms
@@ -362,6 +363,56 @@ def test_module_coefficients_stay_exact(sub3):
     # cancelling terms drop their key, one hbar-degree at a time
     assert (half - half).terms == {}
     assert (v + v.times_hbar() - v).terms == {((), (2,), 1): 1}
+
+
+def test_fuse_rejects_an_operand_with_an_m_letter(sub3):
+    # fuse runs no reduction pass, so an operand outside U(p) ⊗ V must
+    # raise instead of being carried into the result
+    o = sub3.default_order()
+    raw = ModuleElement.embed(E(o, 1, 1) * E(o, 3, 2), sub3, (1,))
+    v = ModuleElement.basis_vector(sub3, 2)
+    for a, b in ((raw, v), (v, raw)):
+        with pytest.raises(ReductionError, match="fuse needs a reduced element"):
+            fuse(a, b)
+    with pytest.raises(ReductionError, match="fuse needs a reduced element"):
+        right_act(v, E(o, 3, 1))
+    # its reduced form is accepted; a unit right factor appends its slot
+    red = reduce_mod_m_psi(raw)
+    assert fuse(red, v).terms == {(m, s + (2,), d): c for (m, s, d), c in red.terms.items()}
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_fuse_of_reduced_operands_is_reduced(N):
+    # the reduction fuse no longer runs would change nothing: random
+    # reduced operands, every canonical pair, and (N = 4, 5) the products
+    # of the fusion suite's triples in both bracketings
+    p = Pyramid.subregular(N)
+    o = p.default_order()
+    basis = canonical_basis(N)
+    v = {i: basis.vector(i) for i in range(1, N + 1)}
+    pairs = [(v[i], v[j]) for i in v for j in v]
+    if N <= 5:
+        rng = random.Random(500 + N)
+
+        def random_element(rank):
+            x = AlgebraElement.zero(o)
+            for _ in range(rng.randint(1, 3)):
+                term = H(o, rng.randint(0, 1), rng.randint(-3, 3) or 1)
+                for _ in range(rng.randint(0, 4)):
+                    term = term * E(o, rng.randint(1, N), rng.randint(1, N))
+                x = x + term
+            slots = tuple(rng.randint(1, N) for _ in range(rank))
+            return embed_and_reduce(p, x, slots)
+
+        pairs += [(random_element(rng.randint(0, 2)), random_element(rng.randint(0, 2)))
+                  for _ in range(20)]
+    if N in (4, 5):
+        for case in fuse_power_J(N, samples=4, seed=0)["cases"]:
+            a, b, c = (v[k] for k in case["triple"])
+            pairs += [(fuse(a, b), c), (a, fuse(b, c))]
+    for a, b in pairs:
+        out = fuse(a, b)
+        assert reduce_mod_m_psi(out) == out
 
 
 def _fuse_reference(a, b):

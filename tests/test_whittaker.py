@@ -51,6 +51,13 @@ def _v1_superscript_one_higher(N):
     return reduce_mod_m_psi(vec)
 
 
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 8])
+def test_raw_vectors_are_reduced(N):
+    # every T-element lies in U(p), so _tilde_v needs no reduction pass
+    for v in build_basis(N).vectors.values():
+        assert reduce_mod_m_psi(v) == v
+
+
 def test_tilde_v_j0_is_basis_vector():
     for N in (2, 3, 4):
         assert _tilde_v(N, 0) == ModuleElement.basis_vector(Pyramid.subregular(N), N)
