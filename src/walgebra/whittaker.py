@@ -10,7 +10,9 @@ reading, N-i-1 instead of N-i-2, fails invariance (a test pins this).
 The vectors need no reduction: every T-element, truncated ones included,
 is a sum of products of Etilde_{i_k j_k} with col(i_k) <= col(j_k), so
 it lies in U(p), and u ⊗ v with u in U(p) is already the reduced
-representative (modules).  build_basis returns the raw vectors ungated.  canonicalize gates each
+representative (modules).
+
+build_basis returns the raw vectors ungated.  canonicalize gates each
 canonical vector, raising with N, the leading slot and the offending
 m-generator; that one gate decides the raw vector too, since a raw vector
 is its canonical form plus right translates of higher canonical vectors,

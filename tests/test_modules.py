@@ -383,9 +383,10 @@ def test_fuse_rejects_an_operand_with_an_m_letter(sub3):
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_fuse_of_reduced_operands_is_reduced(N):
-    # the reduction fuse no longer runs would change nothing: random
-    # reduced operands, every canonical pair, and (N = 4, 5) the products
-    # of the fusion suite's triples in both bracketings
+    # fuse runs no reduction pass, so its result must be its own
+    # reduction: on random reduced operands, every canonical pair, and
+    # (N = 4, 5) the products of the fusion suite's triples in both
+    # bracketings
     p = Pyramid.subregular(N)
     o = p.default_order()
     basis = canonical_basis(N)
