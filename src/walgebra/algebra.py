@@ -44,6 +44,7 @@ functions.
 from __future__ import annotations
 
 import hashlib
+import re
 from fractions import Fraction
 
 from .hbar import _exact
@@ -413,23 +414,6 @@ class AlgebraElement(TermMap):
     def divisible_by_hbar(self) -> bool:
         return all(d for _, d in self.terms)
 
-    def kazhdan_degree(self, pyramid) -> float:
-        """Filtration degree: deg E_ij = col(j)-col(i)+1 and deg hbar = 1.
-
-        Returns -inf for the zero element.
-        """
-        if not self.terms:
-            return float("-inf")
-        N = self.N
-        best = None
-        for m, d in self.terms:
-            for g, e in m:
-                i, j = gen_ij(N, g)
-                d += e * (pyramid.col(j) - pyramid.col(i) + 1)
-            if best is None or d > best:
-                best = d
-        return best
-
     def monomials(self):
         return {m for m, _ in self.terms}
 
@@ -455,14 +439,26 @@ class AlgebraElement(TermMap):
 
     @classmethod
     def from_json(cls, data: dict, order: GeneratorOrder) -> "AlgebraElement":
+        """Read what to_json writes; raise AlgebraError on a monomial not in
+        the order's PBW form (ranks strictly increasing, exponents at
+        least 1), on a repeated monomial and on a coefficient that is not
+        a "p/q" string with q > 0."""
         if data["N"] != order.N:
             raise AlgebraError("JSON element has N=%d, order has N=%d" % (data["N"], order.N))
         monos = [tuple((gen_code(order.N, i, j), e) for i, j, e in t["mono"]) for t in data["terms"]]
+        ranks = order.ranks
+        for mono in monos:
+            if any(type(e) is not int or e < 1 for _, e in mono) or any(
+                ranks[g] >= ranks[h] for (g, _), (h, _) in zip(mono, mono[1:])
+            ):
+                raise AlgebraError("JSON monomial %r is not in PBW form" % (mono,))
         if len(set(monos)) != len(monos):
             raise AlgebraError("JSON element lists a monomial twice")
         terms = {}
         for mono, t in zip(monos, data["terms"]):
             for d, s in enumerate(t["coeff"]):
+                if type(s) is not str or not re.fullmatch("-?[0-9]+/0*[1-9][0-9]*", s):
+                    raise AlgebraError("JSON coefficient %r is not a \"p/q\" string" % (s,))
                 c = _exact(s)
                 if c:
                     terms[(mono, d)] = c

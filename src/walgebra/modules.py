@@ -14,7 +14,9 @@ TermMap._grouped, and from_json reads them through
 AlgebraElement.from_json.
 
 The generator order is the pyramid's default_order(), never passed in: one
-interned pyramid per N, one pair cache, used by every product (_add_product).
+interned pyramid per N, one pair cache, used by every product
+(_mono_product), and every product here is a right product by one
+generator, algebra's one-generator kernel.
 
 The right action of xi on u ⊗ v is  u*xi ⊗ v - hbar * u ⊗ (xi.v), and in
 the quotient a trailing m-factor rewrites as
@@ -34,12 +36,26 @@ elements of U(p) ⊗ V are equal in the quotient exactly when they are
 equal.  Under the m-last order a monomial with an m-letter ends in one,
 so the trailing-letter test (_require_reduced) is the whole test.
 Products within p stay in U(p), so reduce_mod_m_psi runs only where an
-m-letter can appear: after act_left, the one product by an m-generator.
+m-letter can appear: in ad_action, its one caller.
 
-Left multiplication commutes with the right action; act_left is the one
-left-product path.  By the rewrite above, ad of an m-generator on a
-reduced element is the left action less the character:
-ad xi = (L_xi - psi(xi))/hbar = (xi·u - u·xi)/hbar ⊗ v + u ⊗ (xi.v).
+Left multiplication commutes with the right action, so ad of an
+m-generator, the left action less the character (L_xi - psi(xi))/hbar,
+is defined on the quotient.  By the rewrite above, on a reduced
+element it is
+
+    ad xi (u ⊗ v) = D(u) ⊗ v + u ⊗ (xi.v),   D(u) = (xi·u - u·xi)/hbar,
+
+and ad_action never forms xi·u.  D is a derivation, built by recursion
+on the last letter: D(()) = 0 and D(rest·h) = D(rest)·h + rest·[xi, h],
+where [xi, h] is the Lie bracket of two generators (no hbar), so every
+product is a right product by one generator.  D is memoized per call,
+and the memo dies with the call.  Each term of D(u) carries at most one
+m-letter, in final position: D(u) is a sum of copies of u with one
+letter h replaced by [xi, h], a generator of p or of m, and normal
+ordering such a word either swaps two letters or trades two for their
+bracket, one generator, so no term gains a second m-letter, and the
+m-last order puts the one there is last.  One reduce_mod_m_psi pass
+peels it.
 
 The left quotient by the Borel-type subalgebra b (subregular pyramids
 only) is monomial deletion: since b-generators rank first, a PBW
@@ -67,9 +83,11 @@ from .algebra import (
     AlgebraElement,
     AlgebraError,
     TermMap,
+    _gen_bracket,
     _mono_product,
     _mono_to_word,
     add_term,
+    gen_code,
     gen_ij,
 )
 from .pyramid import Pyramid
@@ -231,35 +249,42 @@ def _require_reduced(caller: str, *elements: ModuleElement) -> None:
                 raise ReductionError("%s needs a reduced element; %r ends in m" % (caller, mono))
 
 
-def _add_product(out: dict, order, ma, mb, slots, d: int, c) -> None:
-    """out += c * hbar^d * (ma·mb) ⊗ v_slots, ma·mb from the pair cache
-    (for act_left and right_mul_gen)."""
-    for (mono, e), q in _mono_product(order, ma, mb).items():
-        add_term(out, (mono, slots, d + e), q * c)
-
-
-def act_left(xi: AlgebraElement, m: ModuleElement) -> ModuleElement:
-    """Left multiplication on the U-factor followed by reduction."""
-    if xi.N != m.N:
-        raise AlgebraError("mismatched N")
-    order = m.order
-    out: dict = {}
-    for (um, slots, d), c in m.terms.items():
-        for (xm, f), xq in xi.terms.items():
-            _add_product(out, order, xm, um, slots, d + f, xq * c)
-    return reduce_mod_m_psi(ModuleElement(m.pyramid, m.t, out))
-
-
 def ad_action(xi_ij, m: ModuleElement) -> ModuleElement:
-    """ad of an m-generator, (xi·m - psi(xi) m)/hbar; m must be reduced,
-    and a monomial ending in an m-generator raises ReductionError."""
+    """ad of an m-generator xi on a reduced element: the derivation
+    D(u) = [xi, u]/hbar on each U-factor plus xi on the slots, then one
+    reduction (see the module docstring).  D(rest·h) = D(rest)·h +
+    rest·[xi, h] is memoized per call; a monomial ending in an
+    m-generator raises ReductionError."""
     i, j = xi_ij
-    p = m.pyramid
-    if not p.in_m(i, j):
+    if not m.pyramid.in_m(i, j):
         raise AlgebraError("ad is defined here for m-generators only; E[%d,%d] is not in m" % (i, j))
     _require_reduced("ad_action", m)
-    xi = AlgebraElement.generator(m.order, i, j)
-    return (act_left(xi, m) - m.scale(p.psi()(i, j))).times_hbar(-1)
+    order, xi = m.order, gen_code(m.N, i, j)
+    memo: dict = {(): {}}
+
+    def derive(u):
+        hit = memo.get(u)
+        if hit is None:
+            h, e = u[-1]
+            rest = u[:-1] + ((h, e - 1),) if e > 1 else u[:-1]
+            hit = {}
+            for (x, d), c in derive(rest).items():
+                for (y, f), q in _mono_product(order, x, ((h, 1),)).items():
+                    add_term(hit, (y, d + f), c * q)
+            for g, sign in _gen_bracket(m.N, xi, h):
+                for key, q in _mono_product(order, rest, ((g, 1),)).items():
+                    add_term(hit, key, q if sign == 1 else -q)
+            memo[u] = hit
+        return hit
+
+    out: dict = {}
+    for (u, slots, d), c in m.terms.items():
+        for (y, f), q in derive(u).items():
+            add_term(out, (y, slots, d + f), c * q)
+        for a, k in enumerate(slots):
+            if k == j:
+                add_term(out, (u, slots[:a] + (i,) + slots[a + 1 :], d), c)
+    return reduce_mod_m_psi(ModuleElement(m.pyramid, m.t, out))
 
 
 def is_whittaker(m: ModuleElement, elements=None):
@@ -310,7 +335,8 @@ def right_mul_gen(m: ModuleElement, g: int) -> ModuleElement:
     gm = ((g, 1),)
     out: dict = {}
     for (um, slots, d), c in m.terms.items():
-        _add_product(out, order, um, gm, slots, d, c)
+        for (mono, e), q in _mono_product(order, um, gm).items():
+            add_term(out, (mono, slots, d + e), q * c)
         for a, k in enumerate(slots):
             if k == j:
                 add_term(out, (um, slots[:a] + (i,) + slots[a + 1 :], d + 1), -c)

@@ -19,14 +19,16 @@ is its canonical form plus right translates of higher canonical vectors,
 and right translates of invariant vectors are invariant.
 
 The gate runs ad_action over the N-1 Lie generators of m
-(Pyramid.m_generators), not over all of m, and this is exact: ad xi is
-(L_xi - psi(xi))/hbar on the quotient, which is how modules.ad_action
-computes it, [L_x, L_y] = hbar L_[x,y] in U_hbar, and psi, a character
-of m, vanishes on [m, m], so [ad x, ad y] = ad [x,y] (the module is
-free over Q[hbar], so the division loses nothing).  A vector killed by
-ad x and ad y is therefore killed by ad [x,y], hence by the Lie algebra
-the generators span, which is m.  modules.is_whittaker
-over its default element set, all of m, stays the oracle.
+(Pyramid.m_generators), not over all of m, and this is exact.
+modules.ad_action computes ad xi as D_xi on the U-factor plus xi on the
+slots, D_xi(u) = [xi, u]/hbar, then reduces.  By Jacobi
+[D_x, D_y] = D_[x,y], and the slot action is a Lie action, so
+[ad x, ad y] = ad [x,y].  On the quotient ad xi is the left action less
+the character, (L_xi - psi(xi))/hbar, and the identity agrees with it
+there because psi, a character of m, vanishes on [m, m].  A vector
+killed by ad x and ad y is therefore killed by ad [x,y], hence by the
+Lie algebra the generators span, which is m.  modules.is_whittaker over
+its default element set, all of m, stays the oracle.
 
 Canonicalization removes, from the highest slot down, the l-constant
 part of every coefficient (l = span(E_21, E_11)) by subtracting right
@@ -39,7 +41,7 @@ elimination for any rank; tensorj.compute_J runs it on pairs.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, GeneratorOrder, gen_code
+from .algebra import AlgebraElement
 from .bk import truncated_t
 from .modules import (
     ModuleElement,
@@ -92,67 +94,6 @@ def asymptotic_parts(x: AlgebraElement, p: Pyramid):
         ):
             l_linear[(m, 0)] = c
     return AlgebraElement(x.order, linear), AlgebraElement(x.order, l_linear)
-
-
-def linear_part_closed_form(p: Pyramid, i: int, j: int, x: int, r: int) -> AlgebraElement:
-    """Independent oracle for the hbar-constant linear part of T^(r)_[ij;x]:
-    sigma(j) (-1)^(r-1) * sum E_{i1,j1} over single-step chains of cost r."""
-    order = p.default_order()
-    sigma_j = -1 if j <= x else 1
-    sign = sigma_j * (1 if (r - 1) % 2 == 0 else -1)
-    acc = AlgebraElement.zero(order)
-    for i1 in range(1, p.N + 1):
-        if p.row(i1) != i:
-            continue
-        for j1 in range(1, p.N + 1):
-            if p.row(j1) == j and p.col(j1) - p.col(i1) + 1 == r:
-                acc = acc + AlgebraElement.generator(order, i1, j1)
-    return acc.scale(sign)
-
-
-def _l_monomial(order: GeneratorOrder, N: int, r: int, e21: int, e11: int):
-    """PBW monomial E_{1,r} E_21^e21 E_11^e11 under the canonical order."""
-    mono = [(gen_code(N, 1, r), 1)]
-    if e21:
-        mono.append((gen_code(N, 2, 1), e21))
-    if e11:
-        mono.append((gen_code(N, 1, 1), e11))
-    return tuple(mono)
-
-
-def t22_l_linear_closed_form(p: Pyramid, rho: int, mode: str) -> AlgebraElement:
-    """Candidate closed forms for the l-linear part of T^(rho)_[22;1]:
-    sum over r of +-E_{1,r} E_21 E_11^(rho-r), with sign (-1)^r in
-    'alternating' mode and a constant (-1)^(rho-1) in 'constant' mode."""
-    if mode not in ("alternating", "constant"):
-        raise ValueError("unknown mode %r" % mode)
-    order = p.default_order()
-    terms = {}
-    for r in range(2, rho + 1):
-        sign = (-1) ** r if mode == "alternating" else (-1) ** (rho - 1)
-        terms[(_l_monomial(order, p.N, r, 1, rho - r), 0)] = sign
-    return AlgebraElement(order, terms)
-
-
-def t12_l_linear_closed_form(p: Pyramid, rho: int, mode: str) -> AlgebraElement:
-    """Candidate closed forms for the l-linear part of T^(rho)_[12;1].
-
-    'displayed'           sum_{r=2}^{rho-1} (-1)^r     E_{1,r} E_11^(rho-r)
-    'shifted-alternating' sum_{r=2}^{rho}   (-1)^r     E_{1,r} E_11^(rho-r+1)
-    'shifted-constant'    sum_{r=2}^{rho} (-1)^(rho-1) E_{1,r} E_11^(rho-r+1)
-    """
-    order = p.default_order()
-    terms = {}
-    if mode == "displayed":
-        for r in range(2, rho):
-            terms[(_l_monomial(order, p.N, r, 0, rho - r), 0)] = (-1) ** r
-    elif mode in ("shifted-alternating", "shifted-constant"):
-        for r in range(2, rho + 1):
-            sign = (-1) ** r if mode == "shifted-alternating" else (-1) ** (rho - 1)
-            terms[(_l_monomial(order, p.N, r, 0, rho - r + 1), 0)] = sign
-    else:
-        raise ValueError("unknown mode %r" % mode)
-    return AlgebraElement(order, terms)
 
 
 # ----------------------------------------------------------------------

@@ -32,11 +32,13 @@ from walgebra.whittaker import (
     build_basis,
     canonical_basis,
     l_constant_part,
+)
+
+from closed_forms import (
     linear_part_closed_form,
     t12_l_linear_closed_form,
     t22_l_linear_closed_form,
 )
-
 from twist import column_twist, dynamical_part, negated
 
 

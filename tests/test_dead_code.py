@@ -30,7 +30,6 @@ SCANNED = ("src", "tests", "perfbench")
 # src/ definitions referenced only from tests/: test oracles and fixture
 # tools, each kept for the reason given
 TEST_ONLY = (
-    ("algebra.AlgebraElement.kazhdan_degree", "oracle: the filtration degree of the T-elements"),
     ("bk.chain_sum", "oracle: the written per-chain sum; the benchmark tracer spans it"),
     ("geometry.omega_pairing", "oracle: omega by matrix products, against omega_matrix"),
     ("modules.ModuleElement.from_json", "fixture tool: reads module elements back from JSON"),
@@ -38,9 +37,6 @@ TEST_ONLY = (
     ("reports.comparison_payload", "fixture tool: reports compared without wall times"),
     ("reports.save_fixture", "fixture tool: writes a report fixture"),
     ("reports.load_fixture", "fixture tool: reads a report fixture"),
-    ("whittaker.linear_part_closed_form", "oracle: printed linear parts of the T-elements"),
-    ("whittaker.t22_l_linear_closed_form", "oracle: printed l-linear parts of T_22"),
-    ("whittaker.t12_l_linear_closed_form", "oracle: printed l-linear parts of T_12"),
 )
 
 

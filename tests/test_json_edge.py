@@ -260,3 +260,46 @@ def test_module_from_json_rejects_slots_of_another_rank(slots):
     data = {"N": 3, "t": 2, "terms": [{"mono": [], "slots": slots, "coeff": ["1/1"]}]}
     with pytest.raises(AlgebraError, match="rank is 2"):
         ModuleElement.from_json(data, P3)
+
+
+@pytest.mark.parametrize(
+    "mono",
+    [
+        [[3, 2, 1], [1, 1, 1]],  # an m-letter before an l-letter: not PBW
+        [[1, 1, 2], [1, 1, 1]],  # one generator split over two exponents
+        [[1, 1, 0]],  # a zero exponent
+        [[1, 1, -1]],
+        [[1, 1, 1.0]],
+    ],
+    ids=["ranks-decrease", "split-exponent", "zero-exponent", "negative-exponent", "float-exponent"],
+)
+def test_from_json_rejects_a_monomial_not_in_pbw_form(mono):
+    # to_json writes PBW monomials only; any other reads back as a key no
+    # product builds, and one with an interior m-letter would pass the
+    # trailing-letter reducedness guard of fuse
+    term = {"mono": mono, "coeff": ["1/1"]}
+    with pytest.raises(AlgebraError, match="not in PBW form"):
+        AlgebraElement.from_json({"N": 3, "terms": [term]}, ORDER)
+    with pytest.raises(AlgebraError, match="not in PBW form"):
+        ModuleElement.from_json({"N": 3, "t": 1, "terms": [dict(term, slots=[1])]}, P3)
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    ["1/0", "x", 1.5, 1, "1", "1/-2", "1.5/1", " 1/1", None, ["1/1"]],
+    ids=["zero-den", "word", "float", "int", "no-slash", "neg-den", "decimal", "space", "null", "list"],
+)
+def test_from_json_rejects_a_coefficient_not_p_over_q(coeff):
+    term = {"mono": [[2, 1, 1]], "coeff": ["0/1", coeff]}
+    with pytest.raises(AlgebraError, match="p/q"):
+        AlgebraElement.from_json({"N": 3, "terms": [term]}, ORDER)
+    with pytest.raises(AlgebraError, match="p/q"):
+        ModuleElement.from_json({"N": 3, "t": 1, "terms": [dict(term, slots=[1])]}, P3)
+
+
+def test_from_json_reads_every_p_over_q_it_writes():
+    term = {"mono": [[2, 1, 1], [1, 1, 3]], "coeff": ["0/1", "-6/4", "10/5", "0/7"]}
+    el = AlgebraElement.from_json({"N": 3, "terms": [term]}, ORDER)
+    mono = ((gen_code(3, 2, 1), 1), (gen_code(3, 1, 1), 3))
+    assert el.terms == {(mono, 1): Fraction(-3, 2), (mono, 2): 2}
+    assert type(el.terms[(mono, 2)]) is int

@@ -11,12 +11,11 @@ from walgebra.algebra import (
     _word_to_mono,
     add_term,
 )
-from walgebra import modules
+from walgebra import algebra, modules
 from walgebra.hbar import HbarPoly
 from walgebra.modules import (
     ModuleElement,
     ReductionError,
-    act_left,
     ad_action,
     b_reduction_is_zero,
     fuse,
@@ -49,6 +48,14 @@ def sub3():
 
 def embed_and_reduce(p, el, slots):
     return reduce_mod_m_psi(ModuleElement.embed(el, p, slots))
+
+
+def act_left(xi, m):
+    # left multiplication on the U-factor followed by reduction
+    out = ModuleElement.zero(m.pyramid, m.t)
+    for slots, u in m.by_slots().items():
+        out = out + ModuleElement.embed(xi * u, m.pyramid, slots)
+    return reduce_mod_m_psi(out)
 
 
 def test_reduce_psi_value(sub3):
@@ -158,6 +165,13 @@ def test_ad_rejects_non_m(sub3):
         ad_action((1, 2), ModuleElement.basis_vector(sub3, 1))
 
 
+def ad_left_oracle(xi_ij, m):
+    # ad as the left action less the character, (xi·m - psi(xi) m)/hbar
+    i, j = xi_ij
+    psi = m.pyramid.psi()(i, j)
+    return (act_left(E(m.order, i, j), m) - m.scale(psi)).times_hbar(-1)
+
+
 def ad_oracle(xi_ij, m):
     # ad by its bracket-and-slot formula, independent of act_left:
     # (xi·u - u·xi)/hbar ⊗ v plus u ⊗ (xi.v) on each slot, then reduction
@@ -173,35 +187,67 @@ def ad_oracle(xi_ij, m):
     return reduce_mod_m_psi(out)
 
 
-@pytest.mark.parametrize("N", [4, 5])
+def _assert_ad_matches_oracles(m, p):
+    """ad_action against both oracles over all of m; the count of
+    nonzero results."""
+    nonzero = 0
+    for xi in p.m_basis():
+        res = ad_action(xi, m)
+        assert res == ad_oracle(xi, m) == ad_left_oracle(xi, m), xi
+        nonzero += not res.is_zero()
+    return nonzero
+
+
+@pytest.mark.parametrize("N", [4, 5, 6])
 def test_hbar_ad_identity_random(N):
-    # ad_xi(m) = (xi.m - psi(xi) m)/hbar agrees with the bracket-and-slot formula
+    # the derivation agrees with (xi.m - psi(xi) m)/hbar and with the
+    # bracket-and-slot formula on random reduced elements of rank 1 and 2
     p = Pyramid.subregular(N)
     o = p.default_order()
+    gens = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
     rng = random.Random(13)
-    for _ in range(12):
-        i, j = rng.randint(1, N), rng.randint(1, N)
-        x = E(o, i, j) * E(o, rng.randint(1, N), rng.randint(1, N))
-        m = embed_and_reduce(p, x, (rng.randint(1, N),))
-        for xi in p.m_basis():
-            assert ad_action(xi, m) == ad_oracle(xi, m)
+    for rank in (1, 2):
+        nonzero = 0
+        for _ in range(12):
+            x = E(o, *rng.choice(gens)) * E(o, *rng.choice(gens))
+            m = embed_and_reduce(p, x, [rng.randint(1, N) for _ in range(rank)])
+            nonzero += _assert_ad_matches_oracles(m, p)
+        assert nonzero, rank
 
 
-@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_ad_matches_oracle_on_whittaker_vectors(N):
     p = Pyramid.subregular(N)
     raw, canonical = build_basis(N), canonical_basis(N)
     nonzero = 0
     for basis in (raw, canonical):
         for lead in range(1, N + 1):
-            v = basis.vector(lead)
-            for xi in p.m_basis():
-                res = ad_action(xi, v)
-                assert res == ad_oracle(xi, v), (lead, xi)
-                nonzero += not res.is_zero()
-    # the vectors are invariant; the oracle is compared on nonzero
-    # residues by test_hbar_ad_identity_random
+            nonzero += _assert_ad_matches_oracles(basis.vector(lead), p)
+    # the vectors are invariant; the oracles are compared on nonzero
+    # results by test_hbar_ad_identity_random
     assert nonzero == 0
+
+
+def test_gate_normal_orders_only_single_letters(monkeypatch):
+    # ad_action builds every product by one right generator: on a fresh
+    # pair cache, the gate over the N = 6 canonical vectors bubble-sorts
+    # no word longer than one letter
+    canonical = canonical_basis(6)
+    p = Pyramid(canonical.pyramid.heights)  # uninterned: a fresh pair cache
+    assert p.default_order() is not canonical.pyramid.default_order()
+    lengths = []
+    normal_order_word = algebra.normal_order_word
+
+    def spy(order, word):
+        lengths.append(len(word))
+        return normal_order_word(order, word)
+
+    monkeypatch.setattr(algebra, "normal_order_word", spy)
+    for lead in range(1, 7):
+        v = canonical.vector(lead)
+        ok, xi, res = is_whittaker(ModuleElement(p, v.t, v.terms), p.m_generators())
+        assert ok, (lead, xi, res)
+    assert lengths and set(lengths) == {1}
 
 
 def test_ad_rejects_unreduced(sub3):

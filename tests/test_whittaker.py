@@ -23,11 +23,13 @@ from walgebra.whittaker import (
     eliminate_l_constant,
     is_canonical_vector,
     l_constant_part,
+)
+
+from closed_forms import (
     linear_part_closed_form,
     t12_l_linear_closed_form,
     t22_l_linear_closed_form,
 )
-
 from w_generators import subregular_w_generators
 
 
