@@ -439,16 +439,19 @@ class AlgebraElement(TermMap):
 
     @classmethod
     def from_json(cls, data: dict, order: GeneratorOrder) -> "AlgebraElement":
-        """Read what to_json writes; raise AlgebraError on a monomial not in
-        the order's PBW form (ranks strictly increasing, exponents at
-        least 1), on a repeated monomial and on a coefficient that is not
-        a "p/q" string with q > 0."""
+        """Read what to_json writes; raise AlgebraError on a monomial entry
+        that is not an int, on a monomial not in the order's PBW form
+        (ranks strictly increasing, exponents at least 1), on a repeated
+        monomial and on a coefficient that is not a "p/q" string with
+        q > 0."""
         if data["N"] != order.N:
             raise AlgebraError("JSON element has N=%d, order has N=%d" % (data["N"], order.N))
+        if any(type(v) is not int for t in data["terms"] for ije in t["mono"] for v in ije):
+            raise AlgebraError("JSON monomial entries must be ints")
         monos = [tuple((gen_code(order.N, i, j), e) for i, j, e in t["mono"]) for t in data["terms"]]
         ranks = order.ranks
         for mono in monos:
-            if any(type(e) is not int or e < 1 for _, e in mono) or any(
+            if any(e < 1 for _, e in mono) or any(
                 ranks[g] >= ranks[h] for (g, _), (h, _) in zip(mono, mono[1:])
             ):
                 raise AlgebraError("JSON monomial %r is not in PBW form" % (mono,))

@@ -50,10 +50,10 @@ on the last letter: D(()) = 0 and D(rest·h) = D(rest)·h + rest·[xi, h],
 where [xi, h] is the Lie bracket of two generators (no hbar), so every
 product is a right product by one generator.  D is memoized per call,
 and the memo dies with the call.  Each term of D(u) carries at most one
-m-letter, in final position: D(u) is a sum of copies of u with one
-letter h replaced by [xi, h], a generator of p or of m, and normal
-ordering such a word either swaps two letters or trades two for their
-bracket, one generator, so no term gains a second m-letter, and the
+m-letter, in final position: D(u) is a sum of words, each u with one
+letter h replaced by a generator of [xi, h] (in p or in m), and normal
+ordering a word either swaps two letters or trades two letters for one
+generator of their bracket, so no term gains a second m-letter, and the
 m-last order puts the one there is last.  One reduce_mod_m_psi pass
 peels it.
 
@@ -185,6 +185,8 @@ class ModuleElement(TermMap):
         for t in data["terms"]:
             if len(t["slots"]) != data["t"]:
                 raise AlgebraError("JSON term has slots %r, rank is %d" % (t["slots"], data["t"]))
+            if any(type(k) is not int or not 1 <= k <= pyramid.N for k in t["slots"]):
+                raise AlgebraError("JSON term has slots %r outside 1..%d" % (t["slots"], pyramid.N))
             by_slots.setdefault(tuple(t["slots"]), []).append(t)
         terms = {}
         for s, ts in by_slots.items():

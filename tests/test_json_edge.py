@@ -262,6 +262,13 @@ def test_module_from_json_rejects_slots_of_another_rank(slots):
         ModuleElement.from_json(data, P3)
 
 
+@pytest.mark.parametrize("slots", [[1, 4], [0, 1], [1, 2.0], [True, 1]])
+def test_module_from_json_rejects_a_slot_outside_one_to_n(slots):
+    data = {"N": 3, "t": 2, "terms": [{"mono": [], "slots": slots, "coeff": ["1/1"]}]}
+    with pytest.raises(AlgebraError, match=r"outside 1\.\.3"):
+        ModuleElement.from_json(data, P3)
+
+
 @pytest.mark.parametrize(
     "mono",
     [
@@ -270,17 +277,29 @@ def test_module_from_json_rejects_slots_of_another_rank(slots):
         [[1, 1, 0]],  # a zero exponent
         [[1, 1, -1]],
         [[1, 1, 1.0]],
+        [[1.0, 1, 1]],
+        [[2, 1, 1], [1, 1.0, 1]],
+        [[True, 1, 1]],
     ],
-    ids=["ranks-decrease", "split-exponent", "zero-exponent", "negative-exponent", "float-exponent"],
+    ids=[
+        "ranks-decrease",
+        "split-exponent",
+        "zero-exponent",
+        "negative-exponent",
+        "float-exponent",
+        "float-index",
+        "float-index-second",
+        "bool-index",
+    ],
 )
 def test_from_json_rejects_a_monomial_not_in_pbw_form(mono):
-    # to_json writes PBW monomials only; any other reads back as a key no
-    # product builds, and one with an interior m-letter would pass the
-    # trailing-letter reducedness guard of fuse
+    # to_json writes PBW monomials of int entries only; any other reads
+    # back as a key no product builds, and one with an interior m-letter
+    # would pass the trailing-letter reducedness guard of fuse
     term = {"mono": mono, "coeff": ["1/1"]}
-    with pytest.raises(AlgebraError, match="not in PBW form"):
+    with pytest.raises(AlgebraError, match="not in PBW form|must be ints"):
         AlgebraElement.from_json({"N": 3, "terms": [term]}, ORDER)
-    with pytest.raises(AlgebraError, match="not in PBW form"):
+    with pytest.raises(AlgebraError, match="not in PBW form|must be ints"):
         ModuleElement.from_json({"N": 3, "t": 1, "terms": [dict(term, slots=[1])]}, P3)
 
 
