@@ -359,10 +359,6 @@ class AlgebraElement(TermMap):
         return cls(order, {((), 0): coeff} if coeff else {})
 
     @classmethod
-    def one(cls, order) -> "AlgebraElement":
-        return cls.scalar(order, 1)
-
-    @classmethod
     def generator(cls, order, i: int, j: int) -> "AlgebraElement":
         return cls(order, {(((gen_code(order.N, i, j), 1),), 0): 1})
 
@@ -439,16 +435,17 @@ class AlgebraElement(TermMap):
 
     @classmethod
     def from_json(cls, data: dict, order: GeneratorOrder) -> "AlgebraElement":
-        """Read what to_json writes; raise AlgebraError on a monomial entry
-        that is not an int, on a monomial not in the order's PBW form
-        (ranks strictly increasing, exponents at least 1), on a repeated
-        monomial and on a coefficient that is not a "p/q" string with
-        q > 0."""
+        """Read what to_json writes; raise AlgebraError on input of another
+        shape (_json_term_list), on a monomial entry that is not an int, on a
+        monomial not in the order's PBW form (ranks strictly increasing,
+        exponents at least 1), on a repeated monomial and on a coefficient
+        that is not a "p/q" string with q > 0."""
+        json_terms = _json_term_list(data, ("mono", "coeff"))
         if data["N"] != order.N:
             raise AlgebraError("JSON element has N=%d, order has N=%d" % (data["N"], order.N))
-        if any(type(v) is not int for t in data["terms"] for ije in t["mono"] for v in ije):
+        if any(type(v) is not int for t in json_terms for ije in t["mono"] for v in ije):
             raise AlgebraError("JSON monomial entries must be ints")
-        monos = [tuple((gen_code(order.N, i, j), e) for i, j, e in t["mono"]) for t in data["terms"]]
+        monos = [tuple((gen_code(order.N, i, j), e) for i, j, e in t["mono"]) for t in json_terms]
         ranks = order.ranks
         for mono in monos:
             if any(e < 1 for _, e in mono) or any(
@@ -458,7 +455,7 @@ class AlgebraElement(TermMap):
         if len(set(monos)) != len(monos):
             raise AlgebraError("JSON element lists a monomial twice")
         terms = {}
-        for mono, t in zip(monos, data["terms"]):
+        for mono, t in zip(monos, json_terms):
             for d, s in enumerate(t["coeff"]):
                 if type(s) is not str or not re.fullmatch("-?[0-9]+/0*[1-9][0-9]*", s):
                     raise AlgebraError("JSON coefficient %r is not a \"p/q\" string" % (s,))
@@ -471,3 +468,16 @@ class AlgebraElement(TermMap):
         from .render import render_algebra
 
         return "<%s>" % render_algebra(self)
+
+
+def _json_term_list(data, keys) -> list:
+    """data["terms"], or AlgebraError unless data has an int N and a list of
+    term dicts holding a list at each of keys, each mono entry [i, j, e]."""
+    if type(data) is not dict or type(data.get("N")) is not int or type(data.get("terms")) is not list:
+        raise AlgebraError("JSON element needs an int N and a list of terms")
+    for t in data["terms"]:
+        if type(t) is not dict or any(type(t.get(k)) is not list for k in keys):
+            raise AlgebraError("JSON term %r needs a list under each of %s" % (t, ", ".join(keys)))
+        if any(type(ije) is not list or len(ije) != 3 for ije in t["mono"]):
+            raise AlgebraError("JSON monomial %r is not a list of [i, j, e] entries" % (t["mono"],))
+    return data["terms"]

@@ -24,7 +24,7 @@ import time
 from .algebra import AlgebraElement, GeneratorOrder, _word_to_mono, add_term
 from .bk import t1_closed_form, t_element, truncated_t
 from .geometry import verify_inverse
-from .modules import ModuleElement, ad_action, reduce_mod_b_left
+from .modules import ModuleElement, ad_action, is_whittaker
 from .pyramid import Pyramid
 from .render import render_module
 from .tensorj import (
@@ -36,7 +36,7 @@ from .tensorj import (
     semiclassical_from_asymptotics,
     semiclassical_limit,
 )
-from .whittaker import build_basis, canonical_basis, canonicalize
+from .whittaker import build_basis, canonical_basis, canonicalize, is_canonical_vector
 
 
 def _record(name, ok, witness, seconds) -> dict:
@@ -261,32 +261,29 @@ def recursion_suite(N: int) -> list:
 # ----------------------------------------------------------------------
 def whittaker_suite(N: int, canonical: bool) -> tuple[list, dict]:
     """Build the basis (canonicalizing when asked) and check every vector
-    against every element of m_basis(), not only the Lie generators the
-    canonicalize gate uses: one record per (vector, m-element) pair.
-    Returns (records, metadata)."""
+    with modules.is_whittaker against every element of m_basis(), not only
+    the Lie generators the canonicalize gate uses: one record per
+    (vector, m-element) pair, plus one is_canonical_vector record per
+    canonical vector.  Returns (records, metadata)."""
     basis = build_basis(N)
     if canonical:
         basis = canonicalize(basis)
-    p = basis.pyramid
-    m_basis = p.m_basis()
+    m_basis = basis.pyramid.m_basis()
     prefix = "canonical-v%d" if canonical else "tilde-v%d"
     jobs = []
     for lead in range(N, 0, -1):
         vec = basis.vector(lead)
         for xi in m_basis:
 
-            def one(vec=vec, lead=lead, xi=xi):
-                res = ad_action(xi, vec)
-                if not res.is_zero():
-                    return False, "residue %s" % render_module(res)
-                return True, None
+            def one(vec=vec, xi=xi):
+                ok, _, res = is_whittaker(vec, (xi,))
+                return ok, None if ok else "residue %s" % render_module(res)
 
             jobs.append(((prefix % lead) + "-adE%d%d" % xi, one))
         if canonical:
 
             def breduce(vec=vec, lead=lead):
-                ok = reduce_mod_b_left(vec) == ModuleElement.basis_vector(p, lead)
-                return ok, "b-reduction is the leading term"
+                return is_canonical_vector(vec, lead), "b-reduction is the leading term"
 
             jobs.append(((prefix % lead) + "-b-reduction", breduce))
     meta = {
@@ -350,9 +347,8 @@ def j_suite(N: int, compare: bool) -> tuple[list, dict]:
 
 
 def fusion_suite(N: int) -> list:
-    """Associativity of fusion on 4 canonical triples (fuse_power_J, seed 0),
+    """Associativity of fusion on fuse_power_J's 4 canonical triples,
     each record timed by its own triple."""
-    rep = fuse_power_J(N, samples=4, seed=0)
     return [
         _record(
             "fuse-assoc-%s" % "".join(map(str, case["triple"])),
@@ -360,5 +356,5 @@ def fusion_suite(N: int) -> list:
             case["triple"],
             case["seconds"],
         )
-        for case in rep["cases"]
+        for case in fuse_power_J(N)
     ]

@@ -84,6 +84,7 @@ from .algebra import (
     AlgebraError,
     TermMap,
     _gen_bracket,
+    _json_term_list,
     _mono_product,
     _mono_to_word,
     add_term,
@@ -179,10 +180,16 @@ class ModuleElement(TermMap):
 
     @classmethod
     def from_json(cls, data: dict, pyramid: Pyramid) -> "ModuleElement":
+        """Read what to_json writes; raise AlgebraError where
+        AlgebraElement.from_json does, on a rank t that is not an int >= 0
+        and on slots of another length or outside 1..N."""
+        json_terms = _json_term_list(data, ("mono", "slots", "coeff"))
+        if type(data.get("t")) is not int or data["t"] < 0:
+            raise AlgebraError("JSON rank t=%r is not an int >= 0" % (data.get("t"),))
         if data["N"] != pyramid.N:
             raise AlgebraError("JSON rank mismatch")
         by_slots: dict = {}
-        for t in data["terms"]:
+        for t in json_terms:
             if len(t["slots"]) != data["t"]:
                 raise AlgebraError("JSON term has slots %r, rank is %d" % (t["slots"], data["t"]))
             if any(type(k) is not int or not 1 <= k <= pyramid.N for k in t["slots"]):
@@ -319,12 +326,6 @@ def reduce_mod_b_left(m: ModuleElement) -> ModuleElement:
         raise ReductionError("left b-quotient is supported for subregular pyramids only")
     b_codes = p.b_codes()
     return m.keep(lambda mono: not (mono and mono[0][0] in b_codes))
-
-
-def b_reduction_is_zero(x: AlgebraElement, p: Pyramid) -> bool:
-    """True when x lies in b·U, i.e. every monomial has a leading b-factor."""
-    b_codes = p.b_codes()
-    return all(mono and mono[0][0] in b_codes for mono in x.monomials())
 
 
 # ----------------------------------------------------------------------

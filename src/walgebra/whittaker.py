@@ -34,21 +34,20 @@ Canonicalization removes, from the highest slot down, the l-constant
 part of every coefficient (l = span(E_21, E_11)) by subtracting right
 translates of the already-canonical higher vectors.  The result is the
 unique invariant vector of the form 1 ⊗ v_i + sum_{j>i} x_i^j ⊗ v_j with
-every x_i^j in b·U; uniqueness makes a failed b-membership check a hard
-error rather than data.  eliminate_l_constant is that triangular
-elimination for any rank; tensorj.compute_J runs it on pairs.
+every x_i^j in b·U.  is_canonical_vector states that form once, through
+the left b-quotient pi: pi(vec) = 1 ⊗ v_i, and every term with a U-letter
+sits at a slot above i; it is the rank-1 form of compute_J's pair
+equality.  A basis carries no flag: canonicalize checks its output and
+compute_J its input, and by uniqueness a failure is a hard error rather
+than data.  eliminate_l_constant is that triangular elimination for any
+rank; tensorj.compute_J runs it on pairs.
 """
 
 from __future__ import annotations
 
 from .algebra import AlgebraElement
 from .bk import truncated_t
-from .modules import (
-    ModuleElement,
-    b_reduction_is_zero,
-    is_whittaker,
-    right_act,
-)
+from .modules import ModuleElement, is_whittaker, reduce_mod_b_left, right_act
 from .pyramid import Pyramid
 
 
@@ -113,10 +112,9 @@ def _tilde_v(N: int, j: int) -> ModuleElement:
 class WhittakerBasis:
     """The N generating invariant vectors, indexed by leading slot."""
 
-    def __init__(self, pyramid: Pyramid, vectors: dict, canonical: bool = False):
+    def __init__(self, pyramid: Pyramid, vectors: dict):
         self.pyramid = pyramid
         self.vectors = vectors  # leading slot -> ModuleElement
-        self.canonical = canonical
 
     @property
     def N(self) -> int:
@@ -156,20 +154,12 @@ def eliminate_l_constant(vec: ModuleElement, target: tuple, generators: dict):
     raise WhittakerError("l-constant elimination did not stabilize at %r" % (target,))
 
 
-def is_canonical_vector(vec: ModuleElement, leading: int, p: Pyramid) -> bool:
-    """1 ⊗ v_leading plus higher slots with coefficients in b·U."""
-    coeffs = vec.by_slots()
-    if coeffs.get((leading,)) != AlgebraElement.one(vec.order):
+def is_canonical_vector(vec: ModuleElement, leading: int) -> bool:
+    """1 ⊗ v_leading modulo b, with every term that carries a U-letter at a
+    slot above leading: the rank-1 form of compute_J's pair equality."""
+    if reduce_mod_b_left(vec) != ModuleElement.basis_vector(vec.pyramid, leading):
         return False
-    for slots, x in coeffs.items():
-        q = slots[0]
-        if q == leading:
-            continue
-        if q < leading:
-            return False
-        if not b_reduction_is_zero(x, p):
-            return False
-    return True
+    return all(slots[0] > leading for mono, slots, _ in vec.terms if mono)
 
 
 def canonicalize(basis: WhittakerBasis) -> WhittakerBasis:
@@ -181,7 +171,7 @@ def canonicalize(basis: WhittakerBasis) -> WhittakerBasis:
         vec, _ = eliminate_l_constant(
             basis.vectors[leading], (leading,), {(q,): v for q, v in out.items()}
         )
-        if not is_canonical_vector(vec, leading, p):
+        if not is_canonical_vector(vec, leading):
             raise WhittakerError(
                 "vector with leading slot %d is not in canonical form after "
                 "l-constant removal" % leading
@@ -193,7 +183,7 @@ def canonicalize(basis: WhittakerBasis) -> WhittakerBasis:
                 % (leading, p.N, xi, res)
             )
         out[leading] = vec
-    return WhittakerBasis(pyramid=p, vectors=out, canonical=True)
+    return WhittakerBasis(pyramid=p, vectors=out)
 
 
 def canonical_basis(N: int) -> WhittakerBasis:

@@ -22,7 +22,6 @@ from walgebra.tensorj import (
     compare_semiclassical,
     constant_part,
     compute_J,
-    fuse_power_J,
     j_structure_report,
     semiclassical_closed_form,
     semiclassical_limit,
@@ -39,6 +38,7 @@ from closed_forms import (
     t12_l_linear_closed_form,
     t22_l_linear_closed_form,
 )
+from fusion_triples import draw_triples, non_associative
 from twist import column_twist, dynamical_part, negated
 
 
@@ -239,11 +239,7 @@ def test_criterion_08_semiclassical_limit():
 
 
 def test_criterion_09_fusion_associativity():
-    bad = []
-    for N in (3, 4):
-        rep = fuse_power_J(N, samples=10, seed=42)
-        if not rep["ok"]:
-            bad.append((N, [c for c in rep["cases"] if not c["associative"]]))
+    bad = [(N, t) for N in (3, 4) for t in non_associative(N, draw_triples(N, 10, 42))]
     assert _report(9, "fusion associativity N=3,4", not bad, str(bad[:1]) if bad else "10 triples each")
 
 

@@ -79,7 +79,7 @@ def test_single_rewrite(lex4):
 
 def test_unit_law_random(lex4):
     rng = random.Random(7)
-    one = AlgebraElement.one(lex4)
+    one = AlgebraElement.scalar(lex4, 1)
     for _ in range(20):
         a = random_element(lex4, rng)
         assert one * a == a
@@ -160,7 +160,7 @@ def test_kazhdan_degree_examples():
     # same-column generator has degree 1
     assert kazhdan_degree(E(order, 2, 3), p) == 1
     # hbar alone has degree 1
-    assert kazhdan_degree(AlgebraElement.one(order).times_hbar(), p) == 1
+    assert kazhdan_degree(AlgebraElement.scalar(order, 1).times_hbar(), p) == 1
     # col(4)=2, col(1)=1
     assert kazhdan_degree(E(order, 1, 4), p) == 2
     assert kazhdan_degree(AlgebraElement.zero(order), p) == float("-inf")
@@ -229,7 +229,7 @@ def test_normal_order_step_budget(monkeypatch):
     order = GeneratorOrder.lex(3)
     word = tuple(reversed(range(9)))
     pbw = normal_order_word(order, word)
-    product = AlgebraElement.one(order)
+    product = AlgebraElement.scalar(order, 1)
     for g in word:
         product = product * AlgebraElement.generator(order, *gen_ij(3, g))
     assert pbw == product.terms

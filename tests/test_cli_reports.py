@@ -405,14 +405,16 @@ def test_benchmark_tracer_installs():
 
 
 def _perfbench_modules():
-    """The benchmark's workload menus and output checks, imported read-only."""
+    """The benchmark's workload menus, output checks and runner, imported
+    read-only."""
     sys.path.insert(0, PERFBENCH)
     try:
         import menus
         import ops
+        import run
     finally:
         sys.path.remove(PERFBENCH)
-    return menus, ops
+    return menus, ops, run
 
 
 _WALG = "import sys; from walgebra.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -433,7 +435,7 @@ def test_benchmark_golden_digests(workload, key, tmp_path):
     # one cold benchmark child per input, checked as the benchmark checks
     # it, so a byte change in a report, a compute-T payload or a fused
     # triple fails here first
-    menus, ops = _perfbench_modules()
+    menus, ops, _ = _perfbench_modules()
     argv = dict(menus.candidates(workload))[key]
     child = os.path.join(PERFBENCH, "child.py")
     proc = subprocess.run(
@@ -447,6 +449,35 @@ def test_benchmark_golden_digests(workload, key, tmp_path):
         golden = json.load(fh)["digests"]
     digest, _ = ops.check_output(workload, proc.stdout)
     assert digest == golden[key]
+
+
+TRACED_INPUTS = (
+    ("selftest", "S|N5"),
+    ("triple-fusion", "F|N6|6,3,6"),
+    ("t-generators", "T|subreg:7|k0|i1|j2|x1|r5"),
+)
+
+
+@pytest.mark.parametrize("workload, key", TRACED_INPUTS, ids=[k for _, k in TRACED_INPUTS])
+def test_benchmark_traced_child_meets_predictions(workload, key, tmp_path):
+    # one traced benchmark child per input, read as the benchmark's traced
+    # mode reads it: a change that loses a traced span or moves a count
+    # the benchmark predicts (a whittaker.build_basis call, a fuse) fails
+    # here, not only in a traced benchmark run
+    menus, ops, run = _perfbench_modules()
+    argv = dict(menus.candidates(workload))[key]
+    meta_path = tmp_path / "meta.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "child.py"), str(meta_path), "1", "0", "--", *argv],
+        capture_output=True,
+        env=ops.child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(meta_path.read_text(encoding="utf-8"))["trace"]
+    per_op = [run.op_layer_metrics(trace, len(proc.stdout))]
+    assert run.PREDICTIONS[workload]
+    assert run.check_predictions(workload, per_op) == []
 
 
 def test_selftest_small(capsys):

@@ -322,3 +322,40 @@ def test_from_json_reads_every_p_over_q_it_writes():
     mono = ((gen_code(3, 2, 1), 1), (gen_code(3, 1, 1), 3))
     assert el.terms == {(mono, 1): Fraction(-3, 2), (mono, 2): 2}
     assert type(el.terms[(mono, 2)]) is int
+
+
+_TERM = {"mono": [[2, 1, 1]], "slots": [1], "coeff": ["1/1"]}
+
+
+def _without(term, key):
+    return {k: v for k, v in term.items() if k != key}
+
+
+# (input, whether only the module reader reads it); the algebra reader
+# ignores "t" and "slots"
+MALFORMED = {
+    "mono-entry-of-two": ({"N": 3, "t": 1, "terms": [dict(_TERM, mono=[[1, 1]])]}, False),
+    "no-coeff": ({"N": 3, "t": 1, "terms": [_without(_TERM, "coeff")]}, False),
+    "no-slots": ({"N": 3, "t": 1, "terms": [_without(_TERM, "slots")]}, True),
+    "coeff-string": ({"N": 3, "t": 1, "terms": [dict(_TERM, coeff="1/1")]}, False),
+    "mono-not-list": ({"N": 3, "t": 1, "terms": [dict(_TERM, mono=5)]}, False),
+    "terms-not-list": ({"N": 3, "t": 1, "terms": 7}, False),
+    "term-not-dict": ({"N": 3, "t": 1, "terms": [[1]]}, False),
+    "t-string": ({"N": 3, "t": "1", "terms": [_TERM]}, True),
+    "t-string-no-terms": ({"N": 3, "t": "2", "terms": []}, True),
+    "t-negative-no-terms": ({"N": 3, "t": -1, "terms": []}, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_from_json_rejects_malformed_input_with_algebra_error(case):
+    # one error type for every input of the wrong shape, where Python
+    # errors (ValueError, KeyError, TypeError) or a silent read came
+    # before; a "coeff" string was read character by character
+    data, module_only = MALFORMED[case]
+    shape = r"needs an int N|needs a list|\[i, j, e\]|rank t="
+    with pytest.raises(AlgebraError, match=shape):
+        ModuleElement.from_json(data, P3)
+    if not module_only:
+        with pytest.raises(AlgebraError, match=shape):
+            AlgebraElement.from_json(data, ORDER)

@@ -17,7 +17,6 @@ from walgebra.modules import (
     ModuleElement,
     ReductionError,
     ad_action,
-    b_reduction_is_zero,
     fuse,
     is_whittaker,
     reduce_mod_b_left,
@@ -87,7 +86,7 @@ def test_reduce_confluence_randomized():
     gens = [(i, j) for i in range(1, 5) for j in range(1, 5)]
     for _ in range(25):
         word = [rng.choice(gens) for _ in range(3)]
-        x = AlgebraElement.one(o)
+        x = AlgebraElement.scalar(o, 1)
         for (i, j) in word:
             x = x * E(o, i, j)
         slots = (rng.randint(1, 4),)
@@ -120,7 +119,7 @@ def test_reduce_order_independent():
 def test_act_left_unit_and_module_axiom(sub3):
     o = sub3.default_order()
     m = embed_and_reduce(sub3, E(o, 1, 2) + H(o), (2,))
-    assert act_left(AlgebraElement.one(o), m) == m
+    assert act_left(AlgebraElement.scalar(o, 1), m) == m
     rng = random.Random(9)
     for _ in range(10):
         i, j = rng.randint(1, 3), rng.randint(1, 3)
@@ -262,7 +261,7 @@ def test_ad_rejects_unreduced(sub3):
 def test_times_hbar_divides_exactly(sub3):
     o = sub3.default_order()
     with pytest.raises(AlgebraError, match="not divisible by hbar"):
-        AlgebraElement.one(o).times_hbar(-1)
+        AlgebraElement.scalar(o, 1).times_hbar(-1)
     v = ModuleElement.basis_vector(sub3, 2) + ModuleElement.basis_vector(sub3, 3).times_hbar()
     with pytest.raises(AlgebraError, match=r"\(\(\), \(2,\)\)"):
         v.times_hbar(-1)
@@ -296,13 +295,6 @@ def test_b_reduction(sub3):
     for (mono, _, _), _c in red.terms.items():
         for g, _ in mono:
             assert g in allowed
-
-
-def test_b_reduction_is_zero_predicate(sub3):
-    o = sub3.default_order()
-    assert b_reduction_is_zero(E(o, 1, 2) * E(o, 2, 1), sub3)
-    assert not b_reduction_is_zero(E(o, 2, 1), sub3)
-    assert not b_reduction_is_zero(AlgebraElement.one(o), sub3)
 
 
 def test_b_reduction_requires_subregular():
@@ -454,7 +446,7 @@ def test_fuse_of_reduced_operands_is_reduced(N):
         pairs += [(random_element(rng.randint(0, 2)), random_element(rng.randint(0, 2)))
                   for _ in range(20)]
     if N in (4, 5):
-        for case in fuse_power_J(N, samples=4, seed=0)["cases"]:
+        for case in fuse_power_J(N):
             a, b, c = (v[k] for k in case["triple"])
             pairs += [(fuse(a, b), c), (a, fuse(b, c))]
     for a, b in pairs:

@@ -170,7 +170,7 @@ def test_modified_gen():
         order, -(N - 2)
     ).times_hbar()
     # Etilde_NN = E_NN + hbar
-    assert p.modified_gen(N, N) == E(order, N, N) + AlgebraElement.one(order).times_hbar()
+    assert p.modified_gen(N, N) == E(order, N, N) + AlgebraElement.scalar(order, 1).times_hbar()
     # same column, i != j: no sign, no shift
     assert p.modified_gen(2, 1) == E(order, 2, 1)
     # adjacent column: sign flips

@@ -8,7 +8,6 @@ from walgebra.algebra import AlgebraElement, add_term
 from walgebra.hbar import HbarPoly
 from walgebra.modules import (
     ModuleElement,
-    b_reduction_is_zero,
     fuse,
     is_whittaker,
     reduce_mod_b_left,
@@ -32,6 +31,7 @@ from walgebra.tensorj import (
 from walgebra import whittaker
 from walgebra.whittaker import (
     _ELIMINATION_PASS_BOUND,
+    WhittakerBasis,
     WhittakerError,
     build_basis,
     canonical_basis,
@@ -39,6 +39,7 @@ from walgebra.whittaker import (
     in_l,
 )
 
+from fusion_triples import draw_triples, non_associative
 from hbar_terms import from_terms
 from twist import column_twist, dynamical_part, negated
 
@@ -55,7 +56,7 @@ def _canonical_pair_generators(N, basis):
     canonical pair generators g_ij = 1 ⊗ v_i ⊗ v_j + (terms in b·U at
     other slots), which reduce to the unit pairs compute_J eliminates with."""
     p = basis.pyramid
-    one = AlgebraElement.one(p.default_order())
+    one = AlgebraElement.scalar(p.default_order(), 1)
     l_only = in_l(p)
     pair_gens = {}
     entries = {}
@@ -81,7 +82,8 @@ def _canonical_pair_generators(N, basis):
             assert coeffs.get((i, j)) == one, ("unit leading term lost", (i, j))
             for slots, x in coeffs.items():
                 if slots != (i, j):
-                    assert b_reduction_is_zero(x, p), ("residual not in b·U", slots, (i, j))
+                    in_b_u = all(mono and mono[0][0] in p.b_codes() for mono in x.monomials())
+                    assert in_b_u, ("residual not in b·U", slots, (i, j))
             pair_gens[(i, j)] = F
             for key, c in acc.items():
                 entries[(key, (i, j))] = c
@@ -151,7 +153,7 @@ def oracle(bases):
 def test_j3_hand_values(J3):
     # exactly two off-identity entries, both equal to hbar
     o = Pyramid.subregular(3).default_order()
-    hbar = AlgebraElement.one(o).times_hbar()
+    hbar = AlgebraElement.scalar(o, 1).times_hbar()
     assert J3 == {
         ((1, 3), (2, 1)): hbar,
         ((2, 3), (2, 2)): hbar,
@@ -187,8 +189,25 @@ def test_oracle_pair_generators_reduce_to_unit_pairs(oracle):
 
 
 def test_compute_j_needs_the_canonical_basis():
-    with pytest.raises(TensorJError, match="canonical basis"):
+    with pytest.raises(TensorJError, match="canonical basis: v_2 "):
         compute_J(build_basis(3))
+
+
+@pytest.mark.parametrize(
+    "gen, slot",
+    [((1, 2), 1), ((1, 2), 2), ((2, 1), 3), ((1, 4), 3)],
+    ids=["b-below", "b-at", "l-above", "last-column-above"],
+)
+def test_compute_j_rejects_a_doctored_basis_up_front(bases, gen, slot):
+    # one stray term on v_2 of the N = 4 canonical basis: a b-letter below
+    # or at the leading slot, an l-letter or a last-column letter above it;
+    # compute_J names the vector before any fusion or elimination
+    basis = bases[4]
+    p = basis.pyramid
+    stray = ModuleElement.embed(AlgebraElement.generator(p.default_order(), *gen), p, (slot,))
+    vectors = {**basis.vectors, 2: basis.vector(2) + stray}
+    with pytest.raises(TensorJError, match="needs the canonical basis: v_2 "):
+        compute_J(WhittakerBasis(p, vectors))
 
 
 def _pair_21_before_elimination(basis):
@@ -342,7 +361,7 @@ def test_asymptotic_recomputation_agrees(bases, J3, J4):
         # hbar·E_12: divisible by hbar, but its monomial leaves U(l)
         (lambda o: AlgebraElement.generator(o, 1, 2).times_hbar(), r"leaves U\(l\)"),
         # the unit: in U(l), but not divisible by hbar
-        (AlgebraElement.one, "not divisible by hbar"),
+        (lambda o: AlgebraElement.scalar(o, 1), "not divisible by hbar"),
     ],
     ids=["outside-U(l)", "not-hbar-divisible"],
 )
@@ -359,7 +378,7 @@ def test_j_structure_report_lists_each_violation(J3):
     o = Pyramid.subregular(3).default_order()
     J = dict(J3)
     # in U(l) but not divisible by hbar, below the diagonal
-    J[((2, 1), (2, 2))] = AlgebraElement.one(o)
+    J[((2, 1), (2, 2))] = AlgebraElement.scalar(o, 1)
     # neither divisible by hbar nor in U(l)
     J[((1, 3), (2, 1))] = AlgebraElement.generator(o, 1, 2)
     rep = j_structure_report(3, J)
@@ -387,7 +406,7 @@ def test_j_structure_report_reads_the_diagonal_off_j(J3):
     # row == col; such an entry is also off the upper-triangular support
     o = Pyramid.subregular(3).default_order()
     J = dict(J3)
-    J[((2, 2), (2, 2))] = AlgebraElement.one(o).times_hbar()
+    J[((2, 2), (2, 2))] = AlgebraElement.scalar(o, 1).times_hbar()
     rep = j_structure_report(3, J)
     assert not rep["unipotent_diagonal"] and not rep["ok"]
     assert rep["violations"] == [{"row": [2, 2], "col": [2, 2], "why": "support"}]
@@ -395,11 +414,13 @@ def test_j_structure_report_reads_the_diagonal_off_j(J3):
 
 
 def test_fuse_associativity():
-    rep3 = fuse_power_J(3, samples=4, seed=1)
-    assert rep3["ok"]
-    rep4 = fuse_power_J(4, samples=10, seed=2)
-    assert rep4["ok"]
-    assert len(rep4["cases"]) == 10
+    cases = fuse_power_J(4)
+    assert [tuple(c["triple"]) for c in cases] == draw_triples(4, 4, 0)
+    assert all(c["associative"] for c in cases)
+    assert non_associative(3, draw_triples(3, 4, 1)) == []
+    triples = draw_triples(4, 10, 2)
+    assert len(triples) == 10
+    assert non_associative(4, triples) == []
 
 
 def test_semiclassical_poly_render():

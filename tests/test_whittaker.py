@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,6 @@ from walgebra.modules import (
 )
 from walgebra.pyramid import Pyramid
 from walgebra.whittaker import (
-    WhittakerBasis,
     WhittakerError,
     _tilde_v,
     asymptotic_parts,
@@ -105,8 +105,13 @@ def test_canonical_basis_shares_one_order():
     assert truncated_t(p, 1, 2, 2, 1, 3).order is p.default_order()
 
 
-def test_basis_defaults_are_fresh_per_instance():
-    assert WhittakerBasis(Pyramid.subregular(3), {}).canonical is False
+def test_canonical_form_is_read_off_the_vectors():
+    # a basis carries no flag: whether it is canonical is a property of
+    # its vectors, checked where it is used
+    raw, canon = build_basis(3), canonical_basis(3)
+    assert not hasattr(canon, "canonical")
+    assert [is_canonical_vector(raw.vector(i), i) for i in (1, 2, 3)] == [True, False, True]
+    assert all(is_canonical_vector(canon.vector(i), i) for i in (1, 2, 3))
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
@@ -228,7 +233,7 @@ def test_canonicalize_n3_hand_values():
     p = Pyramid.subregular(3)
     o = p.default_order()
     basis = canonical_basis(3)
-    assert basis.canonical
+    assert all(is_canonical_vector(basis.vector(i), i) for i in (1, 2, 3))
     v3 = ModuleElement.basis_vector(p, 3)
     v2 = ModuleElement.basis_vector(p, 2) - reduce_mod_m_psi(
         ModuleElement.embed(E(o, 2, 2), p, (3,))
@@ -247,7 +252,7 @@ def test_canonical_basis_properties(N):
     p = basis.pyramid
     for i in range(1, N + 1):
         vec = basis.vector(i)
-        assert is_canonical_vector(vec, i, p)
+        assert is_canonical_vector(vec, i)
         ok, xi, _ = is_whittaker(vec)
         assert ok
         # b-reduction keeps exactly the leading term
@@ -314,7 +319,7 @@ def test_right_translates_of_canonical_vectors_are_invariant(N):
     basis = canonical_basis(N)
     o = basis.pyramid.default_order()
     for e21, e11 in ((1, 0), (0, 1), (1, 1), (2, 1), (0, 2)):
-        c = AlgebraElement.one(o)
+        c = AlgebraElement.scalar(o, 1)
         for _ in range(e21):
             c = c * E(o, 2, 1)
         for _ in range(e11):
@@ -332,7 +337,7 @@ def test_gate_verdict_survives_elimination(N):
     o = p.default_order()
     rng = random.Random(400 + N)
     raw, canon = build_basis(N), canonical_basis(N)
-    l_monos = [AlgebraElement.one(o), E(o, 2, 1), E(o, 1, 1), E(o, 2, 1) * E(o, 1, 1)]
+    l_monos = [AlgebraElement.scalar(o, 1), E(o, 2, 1), E(o, 1, 1), E(o, 2, 1) * E(o, 1, 1)]
     verdicts = []
     for leading in range(N - 1, 0, -1):
         higher = {(q,): canon.vector(q) for q in range(leading + 1, N + 1)}
@@ -390,7 +395,67 @@ def test_perturbation_breaks_canonical_form():
     o = p.default_order()
     basis = canonical_basis(3)
     vec = basis.vector(2) + ModuleElement.embed(E(o, 1, 1), p, (3,))
-    assert not is_canonical_vector(vec, 2, p)
+    assert not is_canonical_vector(vec, 2)
+
+
+def _slot_by_slot_canonical(vec, leading, p):
+    """Oracle: the coefficient of v_leading is exactly 1, no slot lies
+    below leading, and every coefficient above it lies in b·U, i.e. each
+    of its monomials is nonempty and starts with a b-generator."""
+    coeffs = vec.by_slots()
+    if coeffs.get((leading,)) != AlgebraElement.scalar(vec.order, 1):
+        return False
+    b_codes = p.b_codes()
+    for slots, x in coeffs.items():
+        q = slots[0]
+        if q < leading:
+            return False
+        if q > leading and not all(mono and mono[0][0] in b_codes for mono in x.monomials()):
+            return False
+    return True
+
+
+def test_canonical_vector_b_membership_cases():
+    # a coefficient above the leading slot must lie in b·U: E12·E21 does,
+    # E21 and the unit do not
+    p = Pyramid.subregular(3)
+    o = p.default_order()
+    v1 = ModuleElement.basis_vector(p, 1)
+    for x, ok in (
+        (E(o, 1, 2) * E(o, 2, 1), True),
+        (E(o, 2, 1), False),
+        (AlgebraElement.scalar(o, 1), False),
+    ):
+        vec = v1 + ModuleElement.embed(x, p, (3,))
+        assert is_canonical_vector(vec, 1) is ok is _slot_by_slot_canonical(vec, 1, p), x
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 8])
+def test_canonical_predicate_matches_slot_by_slot_oracle(N):
+    # every canonical vector, then 180 seeded perturbations of them: a
+    # random element of U(p) (a scalar, possibly times hbar, times up to
+    # two generators of p) added at a slot below, at or above the leading
+    # slot of a random vector
+    p = Pyramid.subregular(N)
+    o = p.default_order()
+    canon = canonical_basis(N)
+    for i in range(1, N + 1):
+        assert is_canonical_vector(canon.vector(i), i)
+        assert _slot_by_slot_canonical(canon.vector(i), i, p)
+    p_gens = [gen_ij(N, g) for g in range(N * N) if g not in p.m_codes()]
+    rng = random.Random(800 + N)
+    seen = set()
+    for _ in range(180):
+        lead, q = rng.randint(1, N), rng.randint(1, N)
+        x = H(o, rng.randint(0, 1), rng.choice((1, -1, 2, Fraction(1, 2))))
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            x = x * E(o, *rng.choice(p_gens))
+        vec = canon.vector(lead) + ModuleElement.embed(x, p, (q,))
+        verdict = is_canonical_vector(vec, lead)
+        assert verdict == _slot_by_slot_canonical(vec, lead, p), (lead, q, x)
+        seen.add((("lower", "leading", "higher")[(q > lead) - (q < lead) + 1], verdict))
+    assert {where for where, _ in seen} == {"lower", "leading", "higher"}
+    assert {verdict for _, verdict in seen} == {True, False}
 
 
 def in_head_product(x, head, p):
