@@ -6,9 +6,9 @@ coefficients in Q[hbar].  Algebra elements key each term by
 hbar-degree); both hold a bare rational per term, an int where integral
 and a Fraction otherwise, and scalars are rationals, so the engine
 builds no polynomial objects.  Coefficients are written to JSON, read
-from it and rendered as text as those bare rationals; HbarPoly, the
-polynomial in hbar, is re-exported here and kept for the benchmark's
-tracer only.  All products are rewritten into PBW normal form with
+from it and rendered as text as those bare rationals; hbar.HbarPoly,
+the polynomial in hbar, is kept only for the benchmark's tracer and the
+tests.  All products are rewritten into PBW normal form with
 respect to an explicit total order on the matrix-unit generators.  On
 top of that core it builds pyramid combinatorics, the degree-filtered
 invariants T^(r) of Brundan-Kleshchev type, Whittaker vectors for the
@@ -18,15 +18,12 @@ tensor-structure matrix J together with its first order in hbar.
 
 __version__ = "0.1.0"
 
-from .hbar import HbarPoly
 from .algebra import AlgebraElement, GeneratorOrder
-from .pyramid import Pyramid, CharacterPsi
+from .pyramid import Pyramid
 
 __all__ = [
-    "HbarPoly",
     "AlgebraElement",
     "GeneratorOrder",
     "Pyramid",
-    "CharacterPsi",
     "__version__",
 ]

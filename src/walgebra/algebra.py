@@ -47,8 +47,6 @@ import hashlib
 import re
 from fractions import Fraction
 
-from .hbar import _exact
-
 NORMAL_ORDER_STEP_BUDGET = 10_000_000
 
 
@@ -229,18 +227,29 @@ def _right_gen_product(order: GeneratorOrder, ma, g: int) -> dict:
     return out
 
 
+def _exact(c):
+    """The canonical exact form of a rational: an int stays as it is;
+    anything else becomes a Fraction, reduced to its numerator when that
+    is integral."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class TermMap:
     """The linear structure shared by the element types: a finite map
     terms = {key: nonzero rational}, the key ending in the hbar-degree d.
     AlgebraElement keys (monomial, d) and ModuleElement keys
     (monomial, slots, d).  A coefficient is an int where it is integral
-    and a Fraction otherwise (see hbar._exact), so equal elements have
+    and a Fraction otherwise (see _exact), so equal elements have
     equal term maps; any other value raises TypeError.  Scalars are
     rationals, and coefficients cross every edge bare: _json_terms
     writes them as "p/q" strings and the from_json readers read those
     back through _exact; rendering (render.py) reads the {d: c} of each
-    key from _grouped, in the order _json_terms writes.  No polynomial
-    object (hbar.HbarPoly) is built on any of these paths.
+    key from _grouped, in the order _json_terms writes.  The engine
+    builds no polynomial in hbar; hbar.HbarPoly is kept only for the
+    benchmark's tracer and the tests.
 
     A subclass supplies _check_compatible(other), which raises on mixed
     ambient data, _with(terms), which builds an element with the same

@@ -9,7 +9,7 @@ Subcommands:
   selftest          engine health plus the identity suites at one N
 
 Each command imports the layers it runs.  Importing this module loads
-only what compute-T needs (hbar, algebra, pyramid, bk, render, reports);
+only what compute-T needs (algebra, pyramid, bk, render, reports);
 the other commands import their suites from checks, and through it
 modules, whittaker, geometry and tensorj, inside their own functions.
 A cold walg process compiles or loads every module it imports, so a

@@ -1,35 +1,22 @@
 """Exact polynomials in the deformation parameter hbar.
 
-Coefficients are arbitrary-precision rationals: a polynomial is stored as
-a tuple indexed by hbar-power with trailing zeros stripped, each
-coefficient an int where it is integral and a Fraction otherwise, so
-equality of values is equality of representations.  There is no floating
-point anywhere in this package.
+A polynomial is stored as a tuple indexed by hbar-power with trailing
+zeros stripped, each coefficient in the canonical exact form of
+algebra._exact (an int where integral, a Fraction otherwise), so
+equality of values is equality of representations.
 
-HbarPoly is neither the engine's arithmetic nor an edge form of a
-coefficient: element terms hold one bare rational per hbar-degree
-(algebra.TermMap), to_json writes those as "p/q" strings, the from_json
-readers read them back through _exact, and render.py writes them as text
-straight from the term map.  Apart from the package re-export, only
-algebra imports from here, and only _exact.  HbarPoly stays for that
-re-export and for the benchmark's tracer (perfbench/tracer.py), which binds its constructor and its ring
-operations +, *, scale and shift by name; it can go once the tracer
-counts the bare term coefficients instead.
+The engine builds no HbarPoly: element terms hold one bare rational per
+hbar-degree (algebra.TermMap), and no module of the package imports
+this one.  HbarPoly is kept only for the benchmark's tracer
+(perfbench/tracer.py), which binds its constructor and its ring
+operations +, *, scale and shift by name, and for the tests, which draw
+random coefficients with it.  It can go once the tracer counts the bare
+term coefficients instead.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-
-def _exact(c):
-    """The canonical exact form of a rational: an int stays as it is;
-    anything else becomes a Fraction, reduced to its numerator when that
-    is integral."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+from .algebra import _exact
 
 
 class HbarPoly:

@@ -8,7 +8,7 @@ algebra.TermMap.  The slot tuple lists basis indices of the t tensor
 factors.  An AlgebraElement's terms {(monomial, d): c} are the same
 format without the slots, so embed, by_slots and coefficient_at move
 terms between the two as they are.  Coefficients cross every edge as
-they are stored, never as hbar.HbarPoly: to_json writes them through the
+the bare rationals they are stored as: to_json writes them through the
 one term formatter (TermMap._json_terms), rendering reads them from
 TermMap._grouped, and from_json reads them through
 AlgebraElement.from_json.
@@ -187,7 +187,7 @@ class ModuleElement(TermMap):
         if type(data.get("t")) is not int or data["t"] < 0:
             raise AlgebraError("JSON rank t=%r is not an int >= 0" % (data.get("t"),))
         if data["N"] != pyramid.N:
-            raise AlgebraError("JSON rank mismatch")
+            raise AlgebraError("JSON element has N=%d, pyramid has N=%d" % (data["N"], pyramid.N))
         by_slots: dict = {}
         for t in json_terms:
             if len(t["slots"]) != data["t"]:
@@ -239,7 +239,7 @@ def reduce_mod_m_psi(raw: ModuleElement) -> ModuleElement:
         g, e = mono[-1]
         u = mono[:-1] + ((g, e - 1),) if e > 1 else mono[:-1]
         i, j = gen_ij(N, g)
-        val = psi(i, j)
+        val = psi[(i, j)]
         if val:
             add_term(pending, (u, slots, d), c * val)
         for a, k in enumerate(slots):

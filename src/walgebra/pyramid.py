@@ -9,7 +9,8 @@ From a pyramid we derive:
     (negative degrees) and parabolic part p (the rest);
   * the nilpotent element e, the sum of E_ij over horizontally adjacent
     same-row block pairs;
-  * the character psi(x) = Tr(e x) on m, stored sparsely on the m-basis;
+  * the character psi(x) = Tr(e x) on m, a plain dict {(i, j): 0 or 1}
+    on the m-basis;
   * the diagonal shifts rho and the modified generators
     Etilde_ij = (-1)^(col(j)-col(i)) (E_ij + delta_ij hbar rho_col(i));
   * truncations: the pyramid with its k rightmost columns removed.
@@ -61,7 +62,6 @@ class Pyramid:
         "_row",
         "_col",
         "_m_codes",
-        "_p_codes",
         "_order",
         "_psi",
     )
@@ -84,16 +84,12 @@ class Pyramid:
         self._row = tuple(row)
         self._col = tuple(col)
         N = self.N
-        m_codes, p_codes = set(), set()
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                code = gen_code(N, i, j)
-                if col[j] < col[i]:
-                    m_codes.add(code)
-                else:
-                    p_codes.add(code)
-        self._m_codes = frozenset(m_codes)
-        self._p_codes = frozenset(p_codes)
+        self._m_codes = frozenset(
+            gen_code(N, i, j)
+            for i in range(1, N + 1)
+            for j in range(1, N + 1)
+            if col[j] < col[i]
+        )
         self._order = None
         self._psi = None
 
@@ -172,7 +168,9 @@ class Pyramid:
         return tuple(x for x in self.m_basis() if self.degree(*x) == -1)
 
     def p_basis(self):
-        return tuple(sorted(gen_ij(self.N, c) for c in self._p_codes))
+        """The complement of m_basis(), sorted lexicographically."""
+        N = self.N
+        return tuple(gen_ij(N, c) for c in range(N * N) if c not in self._m_codes)
 
     def m_codes(self):
         return self._m_codes
@@ -189,10 +187,14 @@ class Pyramid:
                     out.append((i, j))
         return tuple(sorted(out))
 
-    def psi(self) -> "CharacterPsi":
-        """The character, built once per pyramid."""
+    def psi(self) -> dict:
+        """The character as {(i, j): Tr(e E_ij)} on m_basis(), built once
+        per pyramid: 1 exactly where E_ji is a summand of e, else 0.  A
+        key outside m raises KeyError.  Every caller shares the one dict
+        and only reads it."""
         if self._psi is None:
-            self._psi = CharacterPsi(self)
+            e_pairs = set(self.e_pairs())
+            self._psi = {(i, j): int((j, i) in e_pairs) for i, j in self.m_basis()}
         return self._psi
 
     # ------------------------------------------------------------------
@@ -273,26 +275,3 @@ class Pyramid:
             raise PyramidError("l = span(E_21, E_11) is subregular-specific")
         return (gen_code(self.N, 2, 1), gen_code(self.N, 1, 1))
 
-
-class CharacterPsi:
-    """psi(x) = Tr(e x), stored sparsely on the m-basis.
-
-    Evaluating on a generator outside m is an index-bookkeeping error and
-    raises rather than returning zero.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, pyramid: Pyramid):
-        e_pairs = set(pyramid.e_pairs())
-        values = {}
-        for (i, j) in pyramid.m_basis():
-            # Tr(e E_ij) = 1 exactly when E_ji is a summand of e
-            values[(i, j)] = 1 if (j, i) in e_pairs else 0
-        self.values = values
-
-    def __call__(self, i: int, j: int) -> int:
-        try:
-            return self.values[(i, j)]
-        except KeyError:
-            raise PyramidError("psi evaluated outside m at E[%d,%d]" % (i, j)) from None

@@ -3,10 +3,10 @@
 Output uses the working notation: matrix units as E[i,j], the
 deformation parameter as ℏ, tensor slots as v1..vN.  Coefficients are
 read as the bare {hbar-degree: rational} of TermMap._grouped, in the
-order to_json writes them; hbar.HbarPoly, kept only for the package
-re-export and the benchmark's tracer, is not the rendering form.  Every
-text here and in tensorj's semi-classical diffs is a signed sum, written
-by one rule: term and signed_sum.
+order to_json writes them; hbar.HbarPoly, kept only for the benchmark's
+tracer and the tests, is not the rendering form.  Every text here and in
+tensorj's semi-classical diffs is a signed sum, written by one rule:
+term and signed_sum.
 """
 
 from __future__ import annotations

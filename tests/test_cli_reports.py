@@ -335,7 +335,6 @@ COMPUTE_T_MODULES = [
     "walgebra.algebra",
     "walgebra.bk",
     "walgebra.cli",
-    "walgebra.hbar",
     "walgebra.pyramid",
     "walgebra.render",
     "walgebra.reports",
@@ -374,6 +373,41 @@ def test_import_footprint_of_compute_t():
     assert seen["code"] == 0
     assert seen["run"] == COMPUTE_T_MODULES
     assert not seen["run_dataclasses"]
+
+
+_COMMANDS_FOOTPRINT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import walgebra.cli
+seen = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = walgebra.cli.main(argv)
+    seen.append([code, "walgebra.hbar" in sys.modules, "dataclasses" in sys.modules])
+print(json.dumps(seen))
+"""
+
+OTHER_COMMANDS = [
+    ["verify-whittaker", "--N", "3"],
+    ["compute-J", "--N", "3", "--compare"],
+    ["check-omega", "--N", "3"],
+    ["selftest", "--N", "3", "--cases", "5"],
+]
+
+
+def test_import_footprint_of_every_other_command():
+    # the commands that import checks load neither hbar, which the engine
+    # never runs, nor dataclasses; -S as above
+    src = os.path.dirname(os.path.dirname(os.path.abspath(walgebra.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _COMMANDS_FOOTPRINT, src, json.dumps(OTHER_COMMANDS)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == [[0, False, False]] * len(OTHER_COMMANDS)
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
@@ -458,12 +492,9 @@ TRACED_INPUTS = (
 )
 
 
-@pytest.mark.parametrize("workload, key", TRACED_INPUTS, ids=[k for _, k in TRACED_INPUTS])
-def test_benchmark_traced_child_meets_predictions(workload, key, tmp_path):
-    # one traced benchmark child per input, read as the benchmark's traced
-    # mode reads it: a change that loses a traced span or moves a count
-    # the benchmark predicts (a whittaker.build_basis call, a fuse) fails
-    # here, not only in a traced benchmark run
+def _traced_child(workload, key, tmp_path):
+    """One traced benchmark child, read as the benchmark's traced mode
+    reads it: the per-layer metrics of its one operation."""
     menus, ops, run = _perfbench_modules()
     argv = dict(menus.candidates(workload))[key]
     meta_path = tmp_path / "meta.json"
@@ -475,9 +506,39 @@ def test_benchmark_traced_child_meets_predictions(workload, key, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(meta_path.read_text(encoding="utf-8"))["trace"]
-    per_op = [run.op_layer_metrics(trace, len(proc.stdout))]
+    return run.op_layer_metrics(trace, len(proc.stdout))
+
+
+@pytest.mark.parametrize("workload, key", TRACED_INPUTS, ids=[k for _, k in TRACED_INPUTS])
+def test_benchmark_traced_child_meets_predictions(workload, key, tmp_path):
+    # a change that loses a traced span or moves a count the benchmark
+    # predicts (a whittaker.build_basis call, a fuse) fails here, not only
+    # in a traced benchmark run
+    run = _perfbench_modules()[2]
+    per_op = [_traced_child(workload, key, tmp_path)]
     assert run.PREDICTIONS[workload]
     assert run.check_predictions(workload, per_op) == []
+
+
+def test_benchmark_traced_canonical_j(tmp_path):
+    # the benchmark predicts nothing for canonical-J, so pin what its
+    # traced child reads: one basis, built and canonicalized once, and
+    # the N(N-1) gate calls, each with its one reduction pass
+    metrics = _traced_child("canonical-J", "J|N6|compare", tmp_path)
+    assert {
+        name: metrics[name]
+        for name in (
+            "whittaker.build_basis_calls",
+            "whittaker.canonicalize_calls",
+            "modules.ad_action_calls",
+            "modules.reduce_calls",
+        )
+    } == {
+        "whittaker.build_basis_calls": 1,
+        "whittaker.canonicalize_calls": 1,
+        "modules.ad_action_calls": 30,
+        "modules.reduce_calls": 30,
+    }
 
 
 def test_selftest_small(capsys):

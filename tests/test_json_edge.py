@@ -269,6 +269,12 @@ def test_module_from_json_rejects_a_slot_outside_one_to_n(slots):
         ModuleElement.from_json(data, P3)
 
 
+def test_module_from_json_names_both_n_on_a_pyramid_mismatch():
+    # the rank of a module element is t; a size mismatch names both N
+    with pytest.raises(AlgebraError, match="N=4"):
+        ModuleElement.from_json({"N": 4, "t": 1, "terms": []}, P3)
+
+
 @pytest.mark.parametrize(
     "mono",
     [

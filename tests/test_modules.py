@@ -167,7 +167,7 @@ def test_ad_rejects_non_m(sub3):
 def ad_left_oracle(xi_ij, m):
     # ad as the left action less the character, (xi·m - psi(xi) m)/hbar
     i, j = xi_ij
-    psi = m.pyramid.psi()(i, j)
+    psi = m.pyramid.psi()[(i, j)]
     return (act_left(E(m.order, i, j), m) - m.scale(psi)).times_hbar(-1)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from walgebra.algebra import AlgebraElement
-from walgebra.pyramid import CharacterPsi, Pyramid, PyramidError
+from walgebra.pyramid import Pyramid, PyramidError
 
 
 def E(order, i, j):
@@ -43,7 +43,7 @@ def test_single_block():
     assert (p.row(1), p.col(1)) == (1, 1)
     assert p.e_pairs() == ()
     assert p.m_basis() == ()
-    assert CharacterPsi(p).values == {}
+    assert p.psi() == {}
 
 
 def test_invalid_heights():
@@ -90,12 +90,28 @@ def test_subalgebras_partition():
 def test_psi_subregular():
     p = Pyramid.subregular(3)
     psi = p.psi()
-    assert psi(3, 2) == 1
-    assert psi(3, 1) == 0
-    with pytest.raises(PyramidError):
-        psi(1, 2)
+    assert psi[(3, 2)] == 1
+    assert psi[(3, 1)] == 0
+    # E_12 is not in m: a plain dict lookup, no zero default
+    with pytest.raises(KeyError):
+        psi[(1, 2)]
     for N in range(3, 7):
-        assert sum(1 for v in Pyramid.subregular(N).psi().values.values() if v) == N - 2
+        assert sum(Pyramid.subregular(N).psi().values()) == N - 2
+
+
+@pytest.mark.parametrize(
+    "p",
+    [Pyramid.subregular(N) for N in range(3, 9)] + [Pyramid((1, 3, 2, 1)), Pyramid((2, 2, 2, 2))],
+    ids=Pyramid.spec,
+)
+def test_psi_is_tr_e_on_m(p):
+    # psi(E_ij) = Tr(e E_ij) on exactly the m-basis: 1 where E_ji is a
+    # summand of e, 0 elsewhere
+    psi = p.psi()
+    assert type(psi) is dict
+    assert sorted(psi) == list(p.m_basis())
+    assert {x for x, v in psi.items() if v == 1} == {(j, i) for i, j in p.e_pairs()}
+    assert set(psi.values()) <= {0, 1}
 
 
 def test_psi_vanishes_on_m_brackets():
@@ -110,9 +126,9 @@ def test_psi_vanishes_on_m_brackets():
                 # [E_ij, E_kl] = d_jk E_il - d_li E_kj
                 val = Fraction(0)
                 if j == k:
-                    val += psi(i, l) if p.in_m(i, l) else Fraction(0)
+                    val += psi[(i, l)] if p.in_m(i, l) else Fraction(0)
                 if l == i:
-                    val -= psi(k, j) if p.in_m(k, j) else Fraction(0)
+                    val -= psi[(k, j)] if p.in_m(k, j) else Fraction(0)
                 assert val == 0
 
 

@@ -296,8 +296,8 @@ def test_negated_psi_rejects_printed_vectors(N, monkeypatch):
     # with psi negated the printed vectors are not invariant (README, sign
     # convention of criterion 8); only 1 ⊗ v_N does not see psi
     psi = Pyramid.subregular(N).psi()
-    for key, val in psi.values.items():
-        monkeypatch.setitem(psi.values, key, -val)
+    for key, val in list(psi.items()):
+        monkeypatch.setitem(psi, key, -val)
     assert _same_verdict(_tilde_v(N, 0))
     for j in range(1, N):
         assert not _same_verdict(_tilde_v(N, j)), j
